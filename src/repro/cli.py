@@ -277,7 +277,7 @@ def cmd_corpus_build(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus_update(args: argparse.Namespace) -> int:
-    """Publish a new store generation: changed pages in, stale urls out."""
+    """Publish a new corpus generation: changed pages in, stale urls out."""
     from .serving.corpus import update_corpus_store
 
     documents = []
@@ -308,10 +308,11 @@ def cmd_corpus_index(args: argparse.Namespace) -> int:
     """Build (or rebuild) the inverted routing index for a store.
 
     One pass over the store's prebuilt text planes — no HTML parsing —
-    fitting the IDF model and packing token/entity postings into the
-    memmap ``<store>.idx`` sibling.  Re-running after live updates
-    rebuilds from scratch, which is also the repair path when routing
-    fails closed on a store/index generation mismatch.
+    fitting the IDF model and packing token/entity postings into a
+    memmap ``<store>.idx-<G>`` file, published as the corpus's next
+    generation.  Re-running after live updates rebuilds from scratch
+    (IDF refit); it is also the repair path when routing fails closed
+    because no index has been built.
     """
     from .retrieval.index import build_corpus_index
 
@@ -392,12 +393,8 @@ def cmd_serve_stat(args: argparse.Namespace) -> int:
         f"hot swaps: {stats['hot_swaps']}  rollbacks: {stats['rollbacks']}  "
         f"queue depth bound: {health['queue_depth_bound']}"
     )
-    store_gen = health["store_generation"]
-    index_gen = health["index_generation"]
-    print(
-        f"store generation: {'-' if store_gen is None else store_gen}  "
-        f"index generation: {'-' if index_gen is None else index_gen}"
-    )
+    generation = health["generation"]
+    print(f"corpus generation: {'-' if generation is None else generation}")
     print(
         f"{'shard':>5} {'queue':>5} {'inflight':>8} {'inval':>5} "
         f"{'pool':>6} {'dispatcher':>10}"
@@ -658,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_build.set_defaults(func=cmd_corpus_build)
     corpus_update = corpus_sub.add_parser(
         "update",
-        help="publish a new store generation (crash-safe live update)",
+        help="publish a new corpus generation (crash-safe live update)",
     )
     corpus_update.add_argument("store", help="existing store file to update")
     corpus_update.add_argument(
@@ -683,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="build the inverted keyword/entity routing index for a store",
     )
     corpus_index_parser.add_argument(
-        "store", help="store file to index (writes <store>.idx beside it)"
+        "store", help="store file to index (writes <store>.idx-<G> beside it)"
     )
     corpus_index_parser.set_defaults(func=cmd_corpus_index)
 

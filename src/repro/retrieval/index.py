@@ -1,7 +1,7 @@
 """Memmap-backed inverted keyword/entity index over a corpus store.
 
 The corpus store (:mod:`repro.webtree.store`) answers "give me page X";
-this sidecar answers "which pages could answer this question?".  It maps
+the index answers "which pages could answer this question?".  It maps
 **terms** — lower-cased word tokens and typed entity keys — to postings
 lists of ``(page, weight)`` pairs over the store's ``page_fingerprint``
 space, with weights from the corpus-fit :class:`~repro.nlp.vocab.IdfModel`
@@ -9,32 +9,23 @@ space, with weights from the corpus-fit :class:`~repro.nlp.vocab.IdfModel`
 question then costs one vectorized sparse dot-product over the question's
 terms — work proportional to the match set, not the corpus.
 
-**File format** (``<store>.idx``), mirroring the store's layout byte
-discipline::
+**File format** (framing: :class:`~repro.webtree.generations.FileFormat`)::
 
     header   <8sII        magic=b"RPWIDX01", version, reserved
     body     page_ids     <u4   one entry per posting, grouped by term
              weights      <f4   aligned with page_ids
              offsets      <u8   n_terms+1 prefix offsets into the arrays
     manifest JSON         pages (fingerprints, posting order), terms
-                          (sorted), idf (IdfModel state), store_generation,
-                          section table
+                          (sorted), idf (IdfModel state), section table
     footer   <QQ8s        manifest offset/length, magic=b"RPWIDXE1"
 
-**Generational updates** replicate the store's two-step publish exactly
-(the primitives are imported from :mod:`repro.webtree.store`): a segment
-``<path>.seg-<G>`` is a complete index file over just the changed pages,
-published atomically *before* the ``<path>.gen`` manifest swap makes it
-visible.  A crash (or torn byte) at any point leaves the previous
-generation fully openable; later segments shadow earlier files per
-fingerprint; ``removed`` masks deletions.  Segments reuse the **base
-generation's IdfModel** so weights stay comparable across files — a full
-rebuild (:func:`build_corpus_index`, also the compaction path) refits it.
-
-Every index manifest records the **store generation** it was built
-against; readers refuse to route against a store the index has not
-caught up with (:meth:`CorpusIndexReader.ensure_fresh`), which is what
-makes routed answers exact rather than best-effort.
+The index is the second payload of the generational corpus
+(:mod:`repro.webtree.generations`): the corpus manifest lists its files,
+a full build ``<store>.idx-<G>`` followed by the segments
+``<store>.idx.seg-<G>`` that updates publish together with the store's
+segments.  Segments reuse the full build's **pinned IdfModel**, so
+weights stay comparable across files; a rebuild (:func:`build_corpus_index`,
+also part of compaction) refits it.
 
 Scoring is deliberately order-pinned: both the vectorized reader path
 and the on-the-fly exhaustive scan (:mod:`repro.retrieval.router`)
@@ -46,13 +37,10 @@ equality, not tolerance bands.
 
 from __future__ import annotations
 
-import json
-import math
 import os
-import struct
-import threading
 from collections import Counter
-from typing import Iterator, Mapping, Optional, Sequence
+from dataclasses import replace
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -60,20 +48,20 @@ from ..core.errors import IngestError
 from ..nlp.ner import extract_entities
 from ..nlp.tokenize import words
 from ..nlp.vocab import IdfModel
-from ..webtree.store import (
-    GEN_FORMAT,
-    generation_path,
+from ..webtree.generations import (
+    FileFormat,
+    GenerationalReader,
+    Layers,
+    Manifest,
+    payload_file,
     publish_bytes,
-    read_generation_manifest,
-    segment_path,
+    read_manifest,
+    write_manifest,
 )
+from ..webtree.node import WebPage
+from ..webtree.store import CorpusStoreReader
 
-MAGIC = b"RPWIDX01"
-FOOTER_MAGIC = b"RPWIDXE1"
-VERSION = 1
-
-_HEADER = struct.Struct("<8sII")
-_FOOTER = struct.Struct("<QQ8s")
+INDEX_FORMAT = FileFormat("corpus index", b"RPWIDX01", b"RPWIDXE1")
 
 PAGE_ID_DTYPE = np.dtype("<u4")
 WEIGHT_DTYPE = np.dtype("<f4")
@@ -90,14 +78,7 @@ ENTITY_SEP = "\x1f"
 #: entity-first without drowning topical token evidence.
 ENTITY_WEIGHT = 2.5
 
-
-def index_path(store_path: str) -> str:
-    """Canonical index location for a corpus store: ``<store>.idx``."""
-    return os.fspath(store_path) + ".idx"
-
-
-def _corrupt(path: str, reason: str) -> IngestError:
-    return IngestError(f"corpus index {path!r} is unreadable: {reason}")
+_corrupt = INDEX_FORMAT.corrupt
 
 
 def entity_key(label: str, text: str) -> str:
@@ -148,9 +129,7 @@ def page_text(page: "object") -> str:
 
 
 def _pack_index(
-    postings_by_page: Mapping[str, Mapping[str, float]],
-    idf: IdfModel,
-    store_generation: int,
+    postings_by_page: Mapping[str, Mapping[str, float]], idf: IdfModel
 ) -> bytes:
     """Serialize one complete index file (header/body/manifest/footer)."""
     pages = sorted(postings_by_page)
@@ -172,7 +151,7 @@ def _pack_index(
     page_id_bytes = np.array(page_ids, dtype=PAGE_ID_DTYPE).tobytes()
     weight_bytes = np.array(weights, dtype=WEIGHT_DTYPE).tobytes()
     offset_bytes = offsets.tobytes()
-    body_offset = _HEADER.size
+    body_offset = INDEX_FORMAT.header_size
     sections = {
         "page_ids": [body_offset, len(page_ids)],
         "weights": [body_offset + len(page_id_bytes), len(weights)],
@@ -181,64 +160,34 @@ def _pack_index(
             len(terms) + 1,
         ],
     }
-    manifest = json.dumps(
-        {
-            "pages": pages,
-            "terms": terms,
-            "sections": sections,
-            "idf": idf.to_dict(),
-            "store_generation": int(store_generation),
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    ).encode("utf-8")
+    manifest = {
+        "pages": pages,
+        "terms": terms,
+        "sections": sections,
+        "idf": idf.to_dict(),
+    }
     manifest_offset = sections["offsets"][0] + len(offset_bytes)
     return b"".join(
         (
-            _HEADER.pack(MAGIC, VERSION, 0),
+            INDEX_FORMAT.header(),
             page_id_bytes,
             weight_bytes,
             offset_bytes,
-            manifest,
-            _FOOTER.pack(manifest_offset, len(manifest), FOOTER_MAGIC),
+            INDEX_FORMAT.trailer(manifest_offset, manifest),
         )
     )
 
 
 class _IndexFile:
-    """One validated memmap view of a single index file (base or segment)."""
+    """One validated memmap view of a single index file."""
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
+        self.raw, manifest, manifest_offset = INDEX_FORMAT.open(self.path)
         try:
-            self.raw = np.memmap(self.path, dtype=np.uint8, mode="r")
-        except (OSError, ValueError) as exc:
-            raise _corrupt(self.path, str(exc)) from exc
-        size = int(self.raw.size)
-        if size < _HEADER.size + _FOOTER.size:
-            raise _corrupt(self.path, f"file too small ({size} bytes)")
-        magic, version, _ = _HEADER.unpack(bytes(self.raw[: _HEADER.size]))
-        if magic != MAGIC:
-            raise _corrupt(self.path, f"bad magic {magic!r}")
-        if version != VERSION:
-            raise _corrupt(self.path, f"unsupported version {version}")
-        manifest_offset, manifest_len, footer_magic = _FOOTER.unpack(
-            bytes(self.raw[size - _FOOTER.size :])
-        )
-        if footer_magic != FOOTER_MAGIC:
-            raise _corrupt(self.path, f"bad footer magic {footer_magic!r}")
-        if manifest_offset + manifest_len + _FOOTER.size > size:
-            raise _corrupt(self.path, "manifest bounds exceed file size")
-        try:
-            manifest = json.loads(
-                bytes(
-                    self.raw[manifest_offset : manifest_offset + manifest_len]
-                ).decode("utf-8")
-            )
             self.pages: list[str] = list(manifest["pages"])
             self.terms: list[str] = list(manifest["terms"])
             self.idf_state: dict = manifest["idf"]
-            self.store_generation = int(manifest["store_generation"])
             sections = manifest["sections"]
             self.page_ids = self._section(
                 sections, "page_ids", PAGE_ID_DTYPE, manifest_offset
@@ -249,7 +198,7 @@ class _IndexFile:
             self.offsets = self._section(
                 sections, "offsets", OFFSET_DTYPE, manifest_offset
             )
-        except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise _corrupt(self.path, f"manifest unreadable: {exc}") from exc
         if len(self.offsets) != len(self.terms) + 1:
             raise _corrupt(self.path, "offset table does not match term count")
@@ -269,9 +218,12 @@ class _IndexFile:
     ) -> np.ndarray:
         offset, count = (int(value) for value in sections[name])
         end = offset + count * dtype.itemsize
-        if offset < _HEADER.size or end > manifest_offset:
+        if offset < INDEX_FORMAT.header_size or end > manifest_offset:
             raise ValueError(f"section {name!r} out of bounds")
         return np.frombuffer(self.raw[offset:end], dtype=dtype)
+
+    def idf(self) -> IdfModel:
+        return IdfModel.from_dict(self.idf_state)
 
     def postings(self, term: str) -> "tuple[np.ndarray, np.ndarray]":
         """(page_ids, weights) slices for ``term`` (empty when absent)."""
@@ -283,144 +235,92 @@ class _IndexFile:
         return self.page_ids[start:end], self.weights[start:end]
 
 
-def _open_generation(
-    path: str,
-) -> "tuple[dict, list[_IndexFile], dict[str, tuple[_IndexFile, int]], set[str]]":
-    """Open the current index generation: base + segments, composed."""
-    manifest = read_generation_manifest(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    files = [_IndexFile(path)]
-    for name in manifest["segments"]:
-        files.append(_IndexFile(os.path.join(directory, name)))
-    removed = set(manifest["removed"])
-    routing: dict[str, tuple[_IndexFile, int]] = {}
-    for index_file in files:  # later segments shadow earlier files
-        for page_id, fingerprint in enumerate(index_file.pages):
-            routing[fingerprint] = (index_file, page_id)
-    for fingerprint in removed:
-        routing.pop(fingerprint, None)
-    return manifest, files, routing, removed
+class _IndexLayers(Layers):
+    """The index files of one generation, plus per-file live masks."""
 
+    __slots__ = ("live_masks",)
 
-class CorpusIndexReader:
-    """Read-only memmap view of an inverted index (base + segments).
-
-    Mirrors :class:`~repro.webtree.store.CorpusStoreReader`: cheap to
-    open, safe to share across threads, picklable by path, and
-    :meth:`reload`-able in place when a new generation is published.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        self._lock = threading.Lock()
-        self._install(*_open_generation(self.path))
-
-    def _install(
-        self,
-        manifest: dict,
-        files: "list[_IndexFile]",
-        routing: "dict[str, tuple[_IndexFile, int]]",
-        removed: "set[str]",
-    ) -> None:
-        self._manifest = manifest
-        self._generation = int(manifest["generation"])
-        self._files = files
-        self._routing = routing
-        self._removed = removed
+    def __init__(self, manifest: Manifest, files: "list[_IndexFile]") -> None:
+        super().__init__(manifest, files)
         # Per file: which local page ids still own their fingerprint
         # under shadowing/removal — the mask the scorer applies so a
         # stale segment row can never produce a candidate.
-        self._live_masks = []
-        for index_file in files:
-            mask = np.zeros(len(index_file.pages), dtype=bool)
-            for page_id, fingerprint in enumerate(index_file.pages):
-                owner = routing.get(fingerprint)
-                if owner is not None and owner[0] is index_file:
-                    mask[page_id] = True
-            self._live_masks.append(mask)
-
-    # -- pickling (reopen by path) ------------------------------------------
-
-    def __getstate__(self) -> dict:
-        return {"path": self.path}
-
-    def __setstate__(self, state: dict) -> None:
-        self.path = state["path"]
-        self._lock = threading.Lock()
-        self._install(*_open_generation(self.path))
-
-    # -- generations ---------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    @property
-    def store_generation(self) -> int:
-        """The store generation this index generation was published for.
-
-        Published ``.gen`` manifests record it explicitly (a
-        manifest-only publish — e.g. a removal — advances it without a
-        new segment file); a synthetic generation-0 manifest falls back
-        to the base file's own record.
-        """
-        return int(
-            self._manifest.get(
-                "store_generation", self._files[0].store_generation
+        owner = self.owner
+        self.live_masks = [
+            np.fromiter(
+                (owner.get(fingerprint) is index_file
+                 for fingerprint in index_file.pages),
+                dtype=bool,
+                count=len(index_file.pages),
             )
+            for index_file in files
+        ]
+
+
+class CorpusIndexReader(GenerationalReader):
+    """Read-only memmap view of a corpus's inverted index.
+
+    Opened from the *store* path: the corpus manifest names the index
+    files.  Cheap to open, safe to share across threads, picklable by
+    path; see :class:`~repro.webtree.generations.GenerationalReader`.
+    """
+
+    def _open(self, manifest: Manifest) -> _IndexLayers:
+        if manifest.index is None:
+            raise IngestError(
+                f"no corpus index for store {self.path!r}; run "
+                "`repro corpus index` over the store first"
+            )
+        return _IndexLayers(
+            manifest, [_IndexFile(self._resolve(name)) for name in manifest.index]
         )
 
     def reload(self) -> bool:
-        """Re-open the newest published generation; True when it changed."""
-        with self._lock:
-            manifest, files, routing, removed = _open_generation(self.path)
-            changed = (
-                int(manifest["generation"]) != self._generation
-                or routing.keys() != self._routing.keys()
-            )
-            self._install(manifest, files, routing, removed)
-            return changed
+        """Move to the newest published generation; True when it moved."""
+        return self._advance(read_manifest(self.path))
 
-    def ensure_fresh(self, store: "object") -> None:
-        """Fail closed unless this index matches ``store``'s generation.
+    def ensure_fresh(self, store: CorpusStoreReader) -> "CorpusIndexReader":
+        """This index pinned at ``store``'s generation, for one query.
 
-        Reloads once to pick up a freshly published index generation;
-        if the store is still ahead the postings cannot be trusted to be
-        exact and routing must not silently degrade — rebuild with
-        ``repro corpus index`` (or let the live-corpus hooks do it).
+        When the generations already match this is one integer compare
+        — no file I/O.  Otherwise the index reads the manifest once and
+        moves to it, and so does ``store`` when it is older (callers
+        pass a :meth:`~CorpusStoreReader.pinned` store, so only their
+        own view moves).  Store and index then come from one manifest,
+        so every routed candidate is a page ``store`` can load.
         """
-        store_generation = store.generation  # type: ignore[attr-defined]
-        if self.store_generation == store_generation:
-            return
-        self.reload()
-        if self.store_generation != store_generation:
-            raise IngestError(
-                f"corpus index {self.path!r} is stale: built for store "
-                f"generation {self.store_generation}, store is at "
-                f"{store_generation}; run `repro corpus index` to rebuild"
-            )
+        view = self._view
+        while view.manifest.generation != store.generation:
+            manifest = read_manifest(self.path)
+            if manifest.generation < store.generation:
+                raise IngestError(
+                    f"corpus manifest of {self.path!r} went back to generation "
+                    f"{manifest.generation} under a reader at {store.generation}"
+                )
+            self._advance(manifest)
+            store._advance(manifest)
+            # Another caller may have moved this reader past ``manifest``;
+            # then the next manifest read moves ``store`` along too.
+            view = self._view
+        pinned = self.pinned()
+        pinned._view = view
+        return pinned
 
     # -- manifest queries ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._routing)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._routing
-
-    def fingerprints(self) -> Iterator[str]:
-        return iter(self._routing)
+        return len(self._view.owner)
 
     def idf(self) -> IdfModel:
-        """The IdfModel segments weight with (the base file's statistics)."""
-        return IdfModel.from_dict(self._files[0].idf_state)
+        """The IdfModel every file of this generation is weighted with."""
+        return self._view.files[0].idf()
 
     def postings_for(self, fingerprint: str) -> dict[str, np.float32]:
         """All (term → weight) postings of one live page, for tests/stat."""
-        owner = self._routing.get(fingerprint)
-        if owner is None:
+        index_file = self._view.owner.get(fingerprint)
+        if index_file is None:
             return {}
-        index_file, page_id = owner
+        page_id = index_file.pages.index(fingerprint)
         result: dict[str, np.float32] = {}
         for i, term in enumerate(index_file.terms):
             start, end = int(index_file.offsets[i]), int(index_file.offsets[i + 1])
@@ -433,16 +333,16 @@ class CorpusIndexReader:
         return result
 
     def stat(self) -> dict:
+        view = self._view
         return {
             "path": self.path,
-            "file_bytes": sum(int(f.raw.size) for f in self._files),
-            "pages": len(self._routing),
-            "terms": sum(len(f.terms) for f in self._files),
-            "postings": sum(len(f.page_ids) for f in self._files),
-            "generation": self._generation,
-            "store_generation": self.store_generation,
-            "segments": len(self._files) - 1,
-            "removed_pages": len(self._removed),
+            "file_bytes": sum(int(f.raw.size) for f in view.files),
+            "pages": len(view.owner),
+            "terms": sum(len(f.terms) for f in view.files),
+            "postings": sum(len(f.page_ids) for f in view.files),
+            "generation": view.manifest.generation,
+            "segments": len(view.files) - 1,
+            "removed_pages": len(view.manifest.removed),
         }
 
     # -- scoring -------------------------------------------------------------
@@ -457,8 +357,9 @@ class CorpusIndexReader:
         docstring's bit-exactness contract with the scan path).
         """
         terms = sorted(query)
+        view = self._view
         results: list[tuple[str, float]] = []
-        for index_file, live in zip(self._files, self._live_masks):
+        for index_file, live in zip(view.files, view.live_masks):
             if not live.any():
                 continue
             scores = np.zeros(len(index_file.pages), dtype=np.float64)
@@ -492,205 +393,82 @@ class CorpusIndexReader:
         return scored
 
 
-class CorpusIndexUpdater:
-    """Crash-safe incremental index mutations, one generation at a time.
+def update_corpus_index(
+    store_path: str,
+    base: Manifest,
+    generation: int,
+    pages: "Mapping[str, WebPage]",
+) -> "Optional[str]":
+    """Write the index segment of one corpus update; return its file name.
 
-    The exact two-step publish of the store updater, over index files:
-    staged pages stream into a complete segment file published by
-    :meth:`publish_segment` (step 1, atomic rename), made visible only
-    by the ``.gen`` manifest swap of :meth:`publish_manifest` (step 2).
-    A crash — or any torn byte — between or during the steps leaves the
-    previous index generation fully openable, which the torn-byte sweep
-    in the tests drives literally.  Staged postings are weighted with
-    the **base generation's IdfModel** so segment scores remain
-    comparable with base scores.
+    ``pages`` are the pages the update at ``generation`` makes live, on
+    top of the published generation ``base``.  Their postings are
+    weighted with ``base``'s pinned IdfModel and written atomically to
+    ``<store>.idx.seg-<G>``, which stays invisible until the update's
+    manifest swap.  Returns None (writing nothing) when the corpus has
+    no index or there are no pages to post.
     """
+    if base.index is None or not pages:
+        return None
+    directory = os.path.dirname(os.path.abspath(store_path))
+    idf = _IndexFile(os.path.join(directory, base.index[0])).idf()
+    path = payload_file(store_path, "idx.seg", generation)
+    publish_bytes(
+        path,
+        _pack_index(
+            {fp: page_postings(page_text(page), idf) for fp, page in pages.items()},
+            idf,
+        ),
+    )
+    return os.path.basename(path)
 
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        self._reader = CorpusIndexReader(self.path)
-        self._idf = self._reader.idf()
-        self._base_generation = self._reader.generation
-        self._segment_target = segment_path(self.path, self._base_generation + 1)
-        self._staged: dict[str, dict[str, np.float32]] = {}
-        self._removed = set(self._reader._removed)
-        self._segment_published = False
-        self._closed = False
 
-    def __enter__(self) -> "CorpusIndexUpdater":
-        return self
+def build_index_file(
+    store_path: str,
+    store: CorpusStoreReader,
+    generation: int,
+    idf: "Optional[IdfModel]" = None,
+) -> str:
+    """Write a full index over ``store``'s live pages; return its file name.
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None and not self._closed:
-            raise ValueError(
-                "CorpusIndexUpdater.commit(store_generation) was not called"
-            )
-        if exc_type is not None:
-            self.abort()
-
-    @property
-    def generation(self) -> int:
-        return self._base_generation + 1
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ValueError("index updater is closed")
-
-    def stage(self, fingerprint: str, page: "object") -> None:
-        """Stage (re)indexing of one page for the next generation."""
-        self._check_open()
-        self._staged[fingerprint] = page_postings(page_text(page), self._idf)
-        self._removed.discard(fingerprint)
-
-    def remove(self, fingerprint: str) -> None:
-        """Stage removal of one page's postings."""
-        self._check_open()
-        self._staged.pop(fingerprint, None)
-        self._removed.add(fingerprint)
-
-    def publish_segment(self, store_generation: int) -> None:
-        """Step 1: atomically publish the segment file (no visibility)."""
-        self._check_open()
-        if self._segment_published or not self._staged:
-            return
-        publish_bytes(
-            self._segment_target,
-            _pack_index(self._staged, self._idf, store_generation),
-        )
-        self._segment_published = True
-
-    def publish_manifest(self, store_generation: int) -> int:
-        """Step 2: atomically swap the ``.gen`` manifest (visibility)."""
-        self._check_open()
-        names = [
-            os.path.basename(index_file.path)
-            for index_file in self._reader._files[1:]
-        ]
-        if self._segment_published:
-            names.append(os.path.basename(self._segment_target))
-        generation = self._base_generation + 1
-        payload = json.dumps(
-            {
-                "format": GEN_FORMAT,
-                "generation": generation,
-                "segments": names,
-                "removed": sorted(self._removed),
-                "store_generation": int(store_generation),
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        ).encode("utf-8")
-        publish_bytes(generation_path(self.path), payload)
-        self._closed = True
-        return generation
-
-    def commit(self, store_generation: int) -> int:
-        """Publish all staged mutations; returns the live generation."""
-        self._check_open()
-        self.publish_segment(store_generation)
-        return self.publish_manifest(store_generation)
-
-    def abort(self) -> None:
-        """Discard staged mutations; published files are untouched."""
-        self._closed = True
-
-    def abandon(self) -> None:
-        """Simulate a crash mid-update (tests/chaos)."""
-        self._closed = True
+    One pass over the pages — rehydrated from the memmapped planes,
+    never parsed — fitting the IdfModel in sorted-fingerprint order
+    (exactly the no-index exhaustive scan's fit) unless one is given.
+    The file ``<store>.idx-<G>`` is invisible until a manifest lists it.
+    """
+    fingerprints = sorted(store.fingerprints())
+    texts = [page_text(store.load(fingerprint)[0]) for fingerprint in fingerprints]
+    if idf is None:
+        idf = IdfModel.fit(texts)
+    path = payload_file(store_path, "idx", generation)
+    publish_bytes(
+        path,
+        _pack_index(
+            {fp: page_postings(text, idf) for fp, text in zip(fingerprints, texts)},
+            idf,
+        ),
+    )
+    return os.path.basename(path)
 
 
 def build_corpus_index(
-    store_path: str,
-    idx_path: "Optional[str]" = None,
-    idf: "Optional[IdfModel]" = None,
+    store_path: str, idf: "Optional[IdfModel]" = None
 ) -> dict:
-    """Build (or fully rebuild) the inverted index for a corpus store.
+    """Build (or fully rebuild) the corpus's index as its next generation.
 
-    One pass over the store's pages — rehydrated from the memmapped
-    planes, never parsed — fitting the IdfModel over the whole corpus
-    (unless one is supplied) and publishing a fresh single-file index
-    atomically.  If an older index had published generations, the
-    generation counter advances past them so live readers pick the
-    rebuild up on :meth:`~CorpusIndexReader.reload`.
+    Writes a full index file (:func:`build_index_file`) and publishes a
+    manifest that keeps the store's files and lists it as the whole
+    index.  Returns the new index's :meth:`~CorpusIndexReader.stat`.
     """
-    from ..webtree.store import open_store
-
-    store = open_store(store_path)
-    idx_path = idx_path or index_path(store_path)
-    fingerprints = sorted(store.fingerprints())
-    texts = {}
-    for fingerprint in fingerprints:
-        page, _ = store.load(fingerprint)
-        texts[fingerprint] = page_text(page)
-    if idf is None:
-        idf = IdfModel.fit(texts[fp] for fp in fingerprints)
-    postings_by_page = {
-        fingerprint: page_postings(text, idf)
-        for fingerprint, text in texts.items()
-    }
-    payload = _pack_index(postings_by_page, idf, store.generation)
-    previous_generation = 0
-    if os.path.exists(idx_path):
-        previous_generation = read_generation_manifest(idx_path)["generation"]
-    publish_bytes(idx_path, payload)
-    generation = previous_generation + 1 if previous_generation else 0
-    if os.path.exists(generation_path(idx_path)) or generation:
-        publish_bytes(
-            generation_path(idx_path),
-            json.dumps(
-                {
-                    "format": GEN_FORMAT,
-                    "generation": generation,
-                    "segments": [],
-                    "removed": [],
-                    "store_generation": int(store.generation),
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            ).encode("utf-8"),
-        )
-    reader = CorpusIndexReader(idx_path)
-    stat = reader.stat()
-    stat["rebuilt"] = True
-    return stat
+    store = CorpusStoreReader(store_path)
+    generation = store.generation + 1
+    name = build_index_file(store_path, store, generation, idf)
+    write_manifest(
+        store_path, replace(store.manifest, generation=generation, index=(name,))
+    )
+    return CorpusIndexReader(store_path).stat()
 
 
-def update_corpus_index(
-    store_path: str,
-    changed: "Sequence[str]" = (),
-    removed: "Sequence[str]" = (),
-    idx_path: "Optional[str]" = None,
-) -> "Optional[dict]":
-    """Incrementally advance the index after a store update.
-
-    ``changed``/``removed`` are the fingerprints the store update
-    touched; changed pages are re-read from the (already published)
-    store generation.  No-op returning None when no index exists at the
-    canonical path — indexing stays opt-in until ``repro corpus index``
-    creates one.
-    """
-    from ..webtree.store import open_store
-
-    idx_path = idx_path or index_path(store_path)
-    if not os.path.exists(idx_path):
-        return None
-    store = open_store(store_path)
-    updater = CorpusIndexUpdater(idx_path)
-    for fingerprint in removed:
-        updater.remove(fingerprint)
-    for fingerprint in changed:
-        entry = store.get(fingerprint)
-        if entry is None:
-            updater.remove(fingerprint)
-            continue
-        updater.stage(fingerprint, entry[0])
-    updater.commit(store.generation)
-    reader = CorpusIndexReader(idx_path)
-    stat = reader.stat()
-    stat["rebuilt"] = False
-    return stat
-
-
-def open_corpus_index(path: str) -> CorpusIndexReader:
-    """Open an existing corpus index (validating its structure)."""
-    return CorpusIndexReader(path)
+def open_corpus_index(store_path: str) -> CorpusIndexReader:
+    """Open the index of an existing corpus (validating its structure)."""
+    return CorpusIndexReader(store_path)

@@ -112,29 +112,25 @@ def update_corpus_store(
     limits: "ServingLimits | None" = DEFAULT_LIMITS,
     compact: bool = False,
 ) -> dict:
-    """Publish one new store generation: changed pages in, stale urls out.
+    """Publish one new corpus generation: changed pages in, stale urls out.
 
     Each ``(html, url)`` document is parsed through the serving ingest
     pipeline and appended as an update segment entry; any live page with
     the same url is superseded (its fingerprint lands in the
     generation's ``removed`` set).  ``remove_urls`` drops pages outright.
-    The publish is crash-safe end to end (segment rename, then manifest
-    rename — see :mod:`repro.webtree.store`); a no-op update leaves the
-    store untouched at its current generation.
+    The publish is crash-safe end to end (segment renames, then one
+    manifest rename — see :mod:`repro.webtree.generations`); a no-op
+    update leaves the corpus untouched at its current generation.
 
     With ``compact`` the generations are squashed into a fresh base
-    afterwards and stale files collected.  Returns a report merging the
-    post-update :meth:`~repro.webtree.store.CorpusStoreReader.stat` with
-    update counts — the ``repro corpus update`` CLI body.
-
-    When an inverted index exists at the canonical sidecar path
-    (``repro corpus index`` has been run), it is advanced in lock-step:
-    incrementally for a plain update, by full rebuild after compaction
-    (IDF statistics are refit over the squashed corpus).  Either way the
-    published index generation records the new store generation, so
-    routed answering stays exact across updates.
+    afterwards and stale files collected.  An inverted index, when the
+    corpus has one, moves in the same publishes (see
+    :class:`~repro.webtree.store.CorpusStoreUpdater` and
+    :func:`~repro.webtree.store.compact_store`).  Returns a report
+    merging the post-update
+    :meth:`~repro.webtree.store.CorpusStoreReader.stat` with update
+    counts — the ``repro corpus update`` CLI body.
     """
-    from ..retrieval.index import build_corpus_index, index_path, update_corpus_index
     from ..webtree.store import CorpusStoreUpdater, compact_store
     from .ingest import page_fingerprint
 
@@ -147,8 +143,6 @@ def update_corpus_store(
     stats = IngestStats()
     started = time.perf_counter()
     updated = removed = missing = 0
-    changed_fps: list[str] = []
-    removed_fps: list[str] = []
     with CorpusStoreUpdater(path) as updater:
         for html, url in documents:
             fingerprint = page_fingerprint(html, url)
@@ -158,10 +152,8 @@ def update_corpus_store(
             outcome = ingest_page(html, url, stats=stats, limits=limits)
             if stale is not None:
                 updater.remove(stale)
-                removed_fps.append(stale)
             if updater.update(fingerprint, outcome.page, degraded=outcome.degraded):
                 updated += 1
-                changed_fps.append(fingerprint)
             by_url[url] = fingerprint
         for url in remove_urls:
             stale = by_url.get(url)
@@ -169,22 +161,11 @@ def update_corpus_store(
                 missing += 1
             elif updater.remove(stale):
                 removed += 1
-                removed_fps.append(stale)
+    collected = compact_store(path)["collected"] if compact else None
     reader.reload()
     report = reader.stat()
-    if compact:
-        compacted = compact_store(path)
-        reader.reload()
-        report = reader.stat()
-        report["collected"] = len(compacted["collected"])
-    index_report = None
-    if os.path.exists(index_path(path)):
-        if compact:
-            index_report = build_corpus_index(path)
-        elif changed_fps or removed_fps:
-            index_report = update_corpus_index(
-                path, changed=changed_fps, removed=removed_fps
-            )
+    if collected is not None:
+        report["collected"] = len(collected)
     report.update(
         {
             "updated": updated,
@@ -192,7 +173,6 @@ def update_corpus_store(
             "missing_urls": missing,
             "degraded_updates": stats.pages_degraded,
             "update_seconds": round(time.perf_counter() - started, 4),
-            "index": index_report,
         }
     )
     return report

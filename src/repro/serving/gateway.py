@@ -46,7 +46,7 @@ on every shard under each shard's own epoch/refcount drain protocol,
 :class:`~repro.serving.live.LiveCorpus` may be constructed **directly
 over the gateway** — it duck-types as a service (shared ``store``, a
 fan-out cache facade, ``register``/``route_version``/``tool``/``stats``)
-so ``feed()`` publishes one store generation, invalidates every shard's
+so ``feed()`` publishes one corpus generation, invalidates every shard's
 cache exactly, refits once, and swaps all shards to the same candidate.
 
 The differential bar is absolute and pinned by
@@ -63,15 +63,8 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 
-from ..core.errors import DeadlineExceeded, IngestError, RejectedError
-from ..retrieval.router import (
-    DEFAULT_TOP_K,
-    CorpusAnswer,
-    build_answer,
-    cut_top_k,
-    query_terms,
-    scan_scores,
-)
+from ..core.errors import DeadlineExceeded, RejectedError
+from ..retrieval.router import DEFAULT_TOP_K, CorpusAnswer
 from ..runtime.batchq import CoalescingQueue, QueueClosed
 from .faults import FaultInjector, FaultPlan
 from .ingest import DEFAULT_LIMITS, ServingLimits, page_fingerprint
@@ -436,22 +429,18 @@ class ServingGateway:
             if shard.stats.span_ended is not None
         ]
         span = (max(ends) - min(starts)) if starts and ends else 0.0
-        index = self._shards[0].corpus_index(required=False)
         return {
             "shards": self.shards,
             "closed": self._closed,
             "queue_depths": self.queue_depths(),
             "queue_depth_bound": self.queue_depth,
             # Live-corpus churn observability: exact invalidations per
-            # shard, plus the published store/index generations.
+            # shard, plus the corpus generation store and index share.
             "invalidations": [
                 h["ingest"]["invalidations"] for h in shard_health
             ],
-            "store_generation": (
+            "generation": (
                 self.store.generation if self.store is not None else None
-            ),
-            "index_generation": (
-                index.generation if index is not None else None
             ),
             "inflight": [h["inflight"] for h in shard_health],
             "pools_broken": [h["pools_broken"] for h in shard_health],
@@ -576,52 +565,23 @@ class ServingGateway:
         :meth:`_submit_to` on its *content-affinity* shard — the shard
         whose cache owns that fingerprint — so routed fan-outs coalesce
         with ordinary page traffic and the per-shard cache partitioning
-        is preserved.  The consensus tail is the service's own
-        (:func:`~repro.retrieval.router.build_answer`), so a gateway
-        answer is bit-identical to a single-service
-        :meth:`~repro.serving.service.QAService.ask_corpus` over the
-        same store, routed or exhaustive alike.
+        is preserved.  Everything else is the shard's own
+        :meth:`~repro.serving.service.QAService.answer_corpus`, so a
+        gateway answer is bit-identical to a single-service
+        ``ask_corpus`` over the same store, routed or exhaustive alike.
         """
-        if self.store is None:
-            raise IngestError(
-                "ask_corpus needs a corpus store; construct the gateway "
-                "with store=..."
-            )
-        front = self._shards[0]
-        tool = self.tool(route)
-        if question is None:
-            question = tool._question
-        query = query_terms(question, tool._keywords)
-        if exhaustive:
-            scored = scan_scores(self.store, front._corpus_scan_idf(), query)
-        else:
-            index = front.corpus_index()
-            index.ensure_fresh(self.store)
-            scored = index.score(query)
-        candidates = cut_top_k(scored, top_k)
-        answers: "list[tuple[str, ...] | None]" = []
-        if candidates:
-            futures = [
-                self._submit_to(
-                    self.shard_of_fingerprint(fingerprint),
-                    ServingRequest(
-                        route=route, page=self.store.load(fingerprint)[0]
-                    ),
-                )
-                for fingerprint, _ in candidates
-            ]
-            results = self._gather(futures, timeout)
-            answers = [
-                result.answer if result.ok else None for result in results
-            ]
-        return build_answer(
+        return self._shards[0].answer_corpus(
             route,
             question,
-            candidates,
-            answers,
-            top_k=top_k,
-            routed=not exhaustive,
-            url_of=lambda fp: (self.store.entry(fp) or {}).get("url") or None,
+            top_k,
+            exhaustive,
+            lambda requests: self._gather(
+                [
+                    self._submit_to(self.shard_of_fingerprint(fp), request)
+                    for fp, request in requests
+                ],
+                timeout,
+            ),
         )
 
     # -- asyncio front-end ---------------------------------------------------

@@ -199,18 +199,6 @@ class PageCache:
         default_factory=OrderedDict, repr=False
     )
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    #: Called with the fingerprint after each *actual* invalidation drop
-    #: — the hook corpus routing uses to notice live churn (stale
-    #: inverted-index generations) without polling.
-    _invalidation_listeners: "list" = field(default_factory=list, repr=False)
-
-    def add_invalidation_listener(self, listener) -> None:
-        """Register ``listener(fingerprint)`` to run after each drop.
-
-        Listeners fire outside the cache lock (they may take their own
-        locks) and only when an entry was actually removed.
-        """
-        self._invalidation_listeners.append(listener)
 
     def __len__(self) -> int:
         with self._lock:
@@ -268,8 +256,6 @@ class PageCache:
             return False
         entry[0].invalidate_index()
         self.stats.record_invalidation()
-        for listener in self._invalidation_listeners:
-            listener(fingerprint)
         return True
 
     def clear(self) -> None:

@@ -6,12 +6,13 @@ This module closes the loop between the generational
 :class:`~repro.serving.service.QAService`:
 
 1. **Publish.**  ``feed(html, url)`` re-ingests the changed raw HTML
-   through the exact pipeline serving uses, streams it into a new store
-   generation via :class:`~repro.webtree.store.CorpusStoreUpdater`
-   (segment rename, then manifest rename — crash-safe at every byte
-   boundary), and reloads the service's reader.  A crash anywhere in
-   this step leaves the previous generation fully openable and the
-   in-memory state untouched: nothing downstream of the publish runs.
+   through the exact pipeline serving uses, stages it into the next
+   corpus generation via :class:`~repro.webtree.store.CorpusStoreUpdater`
+   (store segment and, when the corpus has an index, index segment,
+   then one manifest rename — crash-safe at every byte boundary), and
+   reloads the service's reader.  A crash anywhere in this step leaves
+   the previous generation fully openable and the in-memory state
+   untouched: nothing downstream of the publish runs.
 2. **Invalidate.**  Exactly the superseded fingerprint is dropped from
    the :class:`~repro.serving.ingest.PageCache` (cascading to its
    :class:`~repro.webtree.textplane.TextPlane` and per-page memo
@@ -41,7 +42,6 @@ and warm refit are *transparent* optimizations.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -83,7 +83,7 @@ class FeedReport:
     url: str
     fingerprint: str
     previous_fingerprint: str
-    #: Store generation now published (-1 when no store is attached).
+    #: Corpus generation now published (-1 when no store is attached).
     generation: int
     #: Whether a cache entry was dropped by exact invalidation.
     invalidated: bool
@@ -380,13 +380,9 @@ class LiveCorpus:
                     self._pending.remove(thread)
 
     def compact(self) -> dict:
-        """Squash generations into a fresh base; reload the reader.
-
-        An inverted index riding the store is fully rebuilt (IDF refit
-        over the squashed corpus) so its generation matches the
-        compacted store's.
-        """
-        from ..retrieval.index import build_corpus_index, index_path
+        """Squash generations into a fresh base (index rebuilt in the same
+        publish, see :func:`~repro.webtree.store.compact_store`); reload
+        the reader."""
         from ..webtree.store import compact_store
 
         with self._lock:
@@ -396,8 +392,6 @@ class LiveCorpus:
             store = getattr(self.service, "store", None)
             if store is not None:
                 store.reload()
-            if os.path.exists(index_path(self.store_path)):
-                report["index"] = build_corpus_index(self.store_path)
             return report
 
     # -- internals -----------------------------------------------------------
@@ -414,7 +408,7 @@ class LiveCorpus:
         degraded: bool,
         removals: "tuple[str, ...]",
     ) -> int:
-        """Run the two-step store publish, with fault hooks in the seams."""
+        """Run the two-step corpus publish, with fault hooks in the seams."""
         if self.store_path is None:
             return -1
         updater = CorpusStoreUpdater(self.store_path)
@@ -435,44 +429,20 @@ class LiveCorpus:
                 )
             updater.publish_segment()
             if self._injector is not None:
-                # Crash window: segment durable, manifest not yet
-                # swapped — the store must reopen one generation back.
+                # Crash window: segments durable, manifest not yet
+                # swapped — the corpus must reopen one generation back.
                 self._injector.before_publish(feed_index)
             generation = updater.publish_manifest()
         except Exception:
             # Idempotent: a torn-segment abandon() already closed the
-            # updater; after a publish-crash the orphan segment stays on
-            # disk for GC, exactly as a real crash would leave it.
+            # updater; after a publish-crash the orphan segments stay on
+            # disk for GC, exactly as a real crash would leave them.
             updater.abort()
             raise
         store = getattr(self.service, "store", None)
         if store is not None:
             store.reload()
-        self._sync_index(
-            changed=(fingerprint,) if page is not None else (),
-            removed=removals,
-        )
         return generation
-
-    def _sync_index(
-        self, changed: "tuple[str, ...]", removed: "tuple[str, ...]"
-    ) -> None:
-        """Advance the inverted index to the just-published generation.
-
-        Runs strictly *after* the store publish (store-first ordering):
-        a crash in this window leaves the index one store generation
-        behind, which routed answering detects
-        (:meth:`~repro.retrieval.index.CorpusIndexReader.ensure_fresh`
-        fails closed with a rebuild hint) — stale postings never route.
-        No-op while no index has been built.
-        """
-        from ..retrieval.index import update_corpus_index
-
-        if self.store_path is None:
-            return
-        update_corpus_index(
-            self.store_path, changed=changed, removed=removed
-        )
 
     def _replace_page(
         self,

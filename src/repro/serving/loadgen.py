@@ -515,14 +515,14 @@ def run_routed(config: LoadConfig, workload: Workload) -> dict:
     sides).
     """
     import os
+    import shutil
     import tempfile
 
     from ..retrieval.index import build_corpus_index
     from .corpus import build_corpus_store
 
-    handle, store_path = tempfile.mkstemp(suffix=".rpw", prefix="serve-load-")
-    os.close(handle)
-    os.unlink(store_path)
+    directory = tempfile.mkdtemp(prefix="serve-load-")
+    store_path = os.path.join(directory, "corpus.rpw")
     try:
         build_corpus_store(
             ((html, url) for (_route, url), html in sorted(workload.corpus.items())),
@@ -598,11 +598,7 @@ def run_routed(config: LoadConfig, workload: Workload) -> dict:
             "per_route": per_route,
         }
     finally:
-        for suffix in ("", ".idx", ".gen", ".idx.gen"):
-            try:
-                os.unlink(store_path + suffix)
-            except OSError:
-                pass
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 def min_speedup(shards: int) -> float:

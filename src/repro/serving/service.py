@@ -89,7 +89,7 @@ from ..core.errors import (
 )
 from ..core.webqa import WebQA
 from ..nlp.vocab import IdfModel
-from ..retrieval.index import CorpusIndexReader, index_path, page_text
+from ..retrieval.index import CorpusIndexReader, page_text
 from ..retrieval.router import (
     DEFAULT_TOP_K,
     CorpusAnswer,
@@ -99,7 +99,9 @@ from ..retrieval.router import (
     scan_scores,
 )
 from ..runtime.runner import TaskRunner
+from ..webtree.generations import read_manifest
 from ..webtree.node import WebPage
+from ..webtree.store import CorpusStoreReader
 from .faults import FaultInjector, FaultPlan
 from .ingest import DEFAULT_LIMITS, IngestOutcome, PageCache, ServingLimits, ingest_page
 
@@ -199,6 +201,8 @@ class RetryPolicy:
 
 #: A retry policy that never retries — for tests pinning first-failure paths.
 NO_RETRY = RetryPolicy(max_retries=0, backoff_seconds=0.0, jitter=0.0)
+
+_NO_STORE = "ask_corpus needs a corpus store; construct the service with store=..."
 
 
 class CircuitBreaker:
@@ -634,8 +638,6 @@ class QAService:
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if isinstance(store, (str, os.PathLike)):
-            from ..webtree.store import CorpusStoreReader
-
             store = CorpusStoreReader(store)
         self.store = store
         self.jobs = jobs
@@ -658,14 +660,11 @@ class QAService:
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         # Corpus routing state: the inverted-index reader opens lazily on
-        # the first ask_corpus; live-corpus churn (observed through cache
-        # invalidations) marks it stale so the next routed question
-        # reloads the newest published index generation before scoring.
+        # the first ask_corpus and follows the store's generation from
+        # then on (CorpusIndexReader.ensure_fresh).
         self._corpus_index: "CorpusIndexReader | None" = None
         self._corpus_index_lock = threading.Lock()
-        self._corpus_index_stale = False
         self._scan_idf_cache: "tuple[int, IdfModel] | None" = None
-        self.cache.add_invalidation_listener(self._note_corpus_churn)
         # One long-lived pool for every micro-batch: a service dispatches
         # many small batches, and per-batch pool construction (worker
         # spawn, tool re-pickling on the process backend) would dominate.
@@ -799,7 +798,7 @@ class QAService:
         """Feed one changed raw document into the attached live corpus.
 
         Convenience front for :meth:`LiveCorpus.feed` (ingest →
-        invalidate → store generation → warm refit → hot-swap/rollback);
+        invalidate → corpus generation → warm refit → hot-swap/rollback);
         requires a :class:`~repro.serving.live.LiveCorpus` constructed
         over this service.
         """
@@ -812,68 +811,50 @@ class QAService:
 
     # -- corpus routing (ask the corpus, not a page) -------------------------------
 
-    def _note_corpus_churn(self, fingerprint: str) -> None:
-        """Cache-invalidation listener: live churn staled any open index."""
-        self._corpus_index_stale = True
-
     def corpus_index(self, required: bool = True) -> "CorpusIndexReader | None":
         """The inverted-index reader over this service's corpus store.
 
-        Opens lazily (and at most once); reloads to the newest published
-        generation whenever live-corpus churn was observed since the
-        last call.  ``required=False`` returns ``None`` instead of
-        raising when no store is attached or no index has been built.
+        Opens lazily (and at most once) from the newest manifest;
+        :meth:`~repro.retrieval.index.CorpusIndexReader.ensure_fresh`
+        keeps it at the store's generation from then on.
+        ``required=False`` returns ``None`` instead of raising when no
+        store is attached or no index has been built.
         """
         if self.store is None:
             if required:
-                raise IngestError(
-                    "ask_corpus needs a corpus store; construct the service "
-                    "with store=..."
-                )
+                raise IngestError(_NO_STORE)
             return None
         with self._corpus_index_lock:
             if self._corpus_index is None:
-                path = index_path(self.store.path)
-                if not os.path.exists(path):
-                    if required:
-                        raise IngestError(
-                            f"no corpus index at {path!r}; run "
-                            "`repro corpus index` over the store first"
-                        )
+                if not required and read_manifest(self.store.path).index is None:
                     return None
-                self._corpus_index = CorpusIndexReader(path)
-                self._corpus_index_stale = False
-            elif self._corpus_index_stale:
-                self._corpus_index.reload()
-                self._corpus_index_stale = False
+                self._corpus_index = CorpusIndexReader(self.store.path)
             return self._corpus_index
 
-    def _corpus_scan_idf(self) -> IdfModel:
+    def _corpus_scan_idf(self, store: "CorpusStoreReader") -> IdfModel:
         """The exhaustive scan's IdfModel: the index's own, or corpus-fit.
 
         The IDF model is an *input* to the scoring specification, not
         part of the routed-vs-exhaustive differential — so when an index
-        is published, the scan borrows its pinned model (incremental
-        segments keep the base generation's fit; see
-        :class:`~repro.retrieval.index.CorpusIndexUpdater`) and the two
-        paths stay bit-identical across live updates.  Without an index
-        the scan fits over the store pages in sorted-fingerprint order —
-        exactly the build pass of
-        :func:`~repro.retrieval.index.build_corpus_index`, so a freshly
+        is published, the scan borrows its pinned model at ``store``'s
+        generation (index segments keep the full build's fit) and the
+        two paths stay bit-identical across live updates.  Without an
+        index the scan fits over the store pages in sorted-fingerprint
+        order — exactly the build pass of
+        :func:`~repro.retrieval.index.build_index_file`, so a freshly
         built index scores identically to the fit-on-the-fly scan.
         """
         index = self.corpus_index(required=False)
         if index is not None:
-            return index.idf()
-        generation = self.store.generation
+            return index.ensure_fresh(store).idf()
         cached = self._scan_idf_cache
-        if cached is not None and cached[0] == generation:
+        if cached is not None and cached[0] == store.generation:
             return cached[1]
         idf = IdfModel.fit(
-            page_text(self.store.load(fingerprint)[0])
-            for fingerprint in sorted(self.store.fingerprints())
+            page_text(store.load(fingerprint)[0])
+            for fingerprint in sorted(store.fingerprints())
         )
-        self._scan_idf_cache = (generation, idf)
+        self._scan_idf_cache = (store.generation, idf)
         return idf
 
     def ask_corpus(
@@ -887,54 +868,77 @@ class QAService:
     ) -> CorpusAnswer:
         """Answer a question *over the whole corpus*: route, fan out, vote.
 
-        The corpus-scale entry point (ROADMAP item 1): nobody hands the
-        service a page.  The question — by default the route's own
-        compiled question, with its attribute keywords — is tokenized
-        into a sparse term query; the inverted index scores it against
-        every page with one vectorized sparse dot-product; the ``top_k``
-        highest-scoring pages are fanned through the ordinary micro-batch
-        predict path (rehydrated from store planes, no parsing); and the
+        The corpus-scale entry point: nobody hands the service a page.
+        See :meth:`answer_corpus`; the candidate pages fan out through
+        this service's own micro-batch :meth:`ask_many`.
+        """
+        return self.answer_corpus(
+            route,
+            question,
+            top_k,
+            exhaustive,
+            lambda requests: self.ask_many(
+                [request for _, request in requests],
+                strict=False,
+                deadline_seconds=deadline_seconds,
+            ),
+        )
+
+    def answer_corpus(
+        self,
+        route: str,
+        question: "str | None",
+        top_k: "int | None",
+        exhaustive: bool,
+        fan_out,
+    ) -> CorpusAnswer:
+        """The body of every ``ask_corpus``, with a pluggable fan-out.
+
+        The question — by default the route's own compiled question,
+        with its attribute keywords — is tokenized into a sparse term
+        query; the inverted index scores it against every page with one
+        vectorized sparse dot-product; the ``top_k`` highest-scoring
+        pages are rehydrated from the store planes (no parsing) and
+        handed to ``fan_out`` as ``[(fingerprint, ServingRequest), ...]``,
+        which returns one :class:`ServingResult` per request; and the
         transductive consensus rule elects the answer among the
         candidates' predictions, returned with full page provenance.
+
+        Scoring and page loads use **one generation**: the store is
+        pinned first and the index pinned to it, so a feed publishing
+        mid-call changes neither the candidates nor the pages they load.
 
         ``exhaustive=True`` bypasses the index and scores every store
         page on the fly — the O(corpus) reference path.  By construction
         (shared weighting, pinned accumulation order, same candidate
         rule, same consensus) its :class:`CorpusAnswer` is bit-identical
-        to the routed one; the differential tests and the
-        ``--routed`` load phase hold the two to exact equality while the
-        benchmarks measure the gap between their costs.
+        to the routed one; the differential tests hold the two to exact
+        equality while the benchmarks measure the gap between their
+        costs.
         """
         if self.store is None:
-            raise IngestError(
-                "ask_corpus needs a corpus store; construct the service "
-                "with store=..."
-            )
+            raise IngestError(_NO_STORE)
         tool = self.tool(route)
         if question is None:
             question = tool._question
         query = query_terms(question, tool._keywords)
+        store = self.store.pinned()
         if exhaustive:
-            scored = scan_scores(self.store, self._corpus_scan_idf(), query)
+            scored = scan_scores(store, self._corpus_scan_idf(store), query)
         else:
-            index = self.corpus_index()
-            index.ensure_fresh(self.store)
-            scored = index.score(query)
+            scored = self.corpus_index().ensure_fresh(store).score(query)
         candidates = cut_top_k(scored, top_k)
         answers: "list[tuple[str, ...] | None]" = []
         if candidates:
-            requests = [
-                ServingRequest(
-                    route=route, page=self.store.load(fingerprint)[0]
-                )
-                for fingerprint, _ in candidates
-            ]
-            outcomes = self.ask_many(
-                requests, strict=False, deadline_seconds=deadline_seconds
+            results = fan_out(
+                [
+                    (fingerprint, ServingRequest(
+                        route=route, page=store.load(fingerprint)[0]
+                    ))
+                    for fingerprint, _ in candidates
+                ]
             )
-            answers = [
-                outcome.answer if outcome.ok else None for outcome in outcomes
-            ]
+            answers = [result.answer if result.ok else None for result in results]
         return build_answer(
             route,
             question,
@@ -942,7 +946,7 @@ class QAService:
             answers,
             top_k=top_k,
             routed=not exhaustive,
-            url_of=lambda fp: (self.store.entry(fp) or {}).get("url") or None,
+            url_of=lambda fp: (store.entry(fp) or {}).get("url") or None,
         )
 
     def inject_faults(

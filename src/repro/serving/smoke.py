@@ -277,7 +277,7 @@ def run_routing_export(
 ) -> int:
     """``corpus-export`` plus the inverted routing index + expectations.
 
-    Builds the store and its ``.idx`` sibling, then records each task's
+    Builds the store and its index, then records each task's
     routed :class:`~repro.retrieval.router.CorpusAnswer` so the fresh-
     process ``routing-serve`` phase can demand bit-identical answers and
     provenance.
@@ -381,33 +381,26 @@ def run_routing_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
 def run_routing_update(out_dir: Path) -> int:
     """Verify the index tracks a live store update (`repro corpus update`).
 
-    Run after mutating the store: the index's recorded store generation
-    must match the store's, at least one index generation must have been
-    published, and — the strong form of "postings reflect the new
+    Run after mutating the store: store and index must open at the same
+    manifest generation, the update must have published one after the
+    index build's generation 1, and — the strong form of "postings reflect the new
     generation" — every live page's postings must equal a fresh
     :func:`~repro.retrieval.index.page_postings` pass over its current
     store text.  Finishes with a routed-vs-exhaustive pass over the
     updated corpus.
     """
-    from ..retrieval.index import index_path, open_corpus_index, page_postings, page_text
+    from ..retrieval.index import open_corpus_index, page_postings, page_text
     from ..webtree.store import open_store
 
     store_path = out_dir / CORPUS_FILE
     store = open_store(str(store_path))
-    reader = open_corpus_index(index_path(str(store_path)))
+    reader = open_corpus_index(str(store_path))
     failures = 0
-    if reader.store_generation != store.generation:
+    if reader.generation != store.generation or reader.generation < 2:
         failures += 1
         print(
-            f"STALE INDEX: store generation {store.generation} vs index's "
-            f"recorded {reader.store_generation}",
-            file=sys.stderr,
-        )
-    if reader.generation < 1:
-        failures += 1
-        print(
-            f"NO NEW GENERATION: index generation {reader.generation} "
-            f"(an update must have published >= 1)",
+            f"GENERATION MISMATCH: store at {store.generation}, index at "
+            f"{reader.generation} (both must match, >= 2)",
             file=sys.stderr,
         )
     store_fps = sorted(store.fingerprints())
@@ -456,8 +449,8 @@ def run_routing_update(out_dir: Path) -> int:
         )
         return 1
     print(
-        f"routing update smoke OK: index generation {reader.generation} "
-        f"covers store generation {store.generation}; "
+        f"routing update smoke OK: store and index at generation "
+        f"{reader.generation}; "
         f"{len(store_fps)} pages' postings current; routed == exhaustive"
     )
     return 0
@@ -504,8 +497,8 @@ def main(argv: list[str] | None = None) -> int:
     routing_serve.add_argument("--max-batch", type=int, default=8)
     routing_update = sub.add_parser(
         "routing-update",
-        help="after `repro corpus update`: assert the index covers the "
-        "new store generation with current postings",
+        help="after `repro corpus update`: assert store and index open at "
+        "the same generation with current postings",
     )
     routing_update.add_argument("--dir", type=Path, required=True)
     args = parser.parse_args(argv)

@@ -7,7 +7,8 @@ those planes, so a corpus is parsed **once** and every later process
 rehydrates pages straight from the planes — no HTML tokenizing, no
 tree walk, no Euler tour.
 
-On-disk layout (store-format file, little-endian)::
+On-disk layout (store-format file, little-endian; the header/manifest/
+footer framing is :class:`~repro.webtree.generations.FileFormat`)::
 
     header   b"RPWSTORE" + u32 version + u32 flags            (16 bytes)
     block*   one per page, at manifest-recorded offsets:
@@ -17,7 +18,8 @@ On-disk layout (store-format file, little-endian)::
                text blob    UTF-8           (all node texts, one run)
                leaf bits    ceil(n/8)       (leaf_mask, little-endian)
                elem bits    ceil(n/8)       (elem_mask, little-endian)
-    manifest JSON: fingerprint → {url, degraded, n, offset, text_bytes}
+    manifest JSON: {"pages": {fingerprint → {url, degraded, n, offset,
+                                              text_bytes}}}
     footer   u64 manifest_offset + u64 manifest_len + b"RPWSEND1"
 
 The manifest key is the serving layer's raw-bytes ``page_fingerprint``
@@ -27,48 +29,12 @@ property is the invalidation rule: any byte change to the HTML (or the
 url namespace) changes the key, so a stale entry can never be returned;
 re-ingesting the changed document simply misses and parses.
 
-Generational updates
---------------------
-
-A published store is immutable, but it is not frozen: mutations land in
-**generations**.  ``<path>`` is the base file; each committed update
-generation appends a segment file ``<path>.seg-<G>`` (itself a complete
-store-format file) and atomically swaps the sidecar manifest
-``<path>.gen``::
-
-    {"format": 1, "generation": G,
-     "segments": ["<base>.seg-1", ...],     # applied in order
-     "removed": ["<fingerprint>", ...]}     # hidden everywhere
-
-Later segments shadow earlier files; ``removed`` hides fingerprints in
-every file (re-adding a fingerprint drops it from ``removed`` — content
-addressing guarantees the surviving bytes are the right ones).  With no
-``.gen`` file the base alone is generation 0, so every pre-generational
-store opens unchanged.
-
-The publish ordering is the crash-safety argument:
-
-1. segment blocks stream into ``<path>.seg-<G>.tmp``; finalize fsyncs
-   and ``os.replace``\\ s it to ``<path>.seg-<G>``;
-2. the new ``.gen`` manifest is written to ``<path>.gen.tmp``, fsynced,
-   and ``os.replace``\\ d over ``<path>.gen``;
-3. the directory is fsynced (best effort) so the renames are durable.
-
-A published manifest therefore only ever references fully-published
-files, and a crash at *any* byte boundary of steps 1–2 leaves either
-the previous ``.gen`` (previous generation, fully intact) or the new
-one (new generation, fully intact) — never a torn hybrid.  Orphan
-segments and stale ``*.tmp`` files from interrupted updates are inert
-(readers never open unreferenced files) and are deleted by
-:func:`collect_garbage`.  :func:`compact_store` folds all live pages
-back into a fresh base (replacing the base *before* publishing the
-manifest that drops the segments, so a crash between the two is safe —
-the old manifest over the new base still resolves every live page to
-identical bytes).  One writer at a time: updates, compaction and GC
-assume a single updating process, while any number of readers may hold
-older generations mapped — ``os.replace``/``unlink`` never disturb an
-open ``np.memmap``, and :meth:`CorpusStoreReader.reload` swaps a reader
-to the newest generation without invalidating pages already loaded.
+The store is the page payload of a generational corpus
+(:mod:`repro.webtree.generations`): the base file ``<path>`` plus the
+segment files the corpus manifest lists, each a complete store-format
+file.  :class:`CorpusStoreUpdater` publishes one generation of the
+whole corpus — page blocks and, when an index exists, their postings —
+and :func:`compact_store` folds every live page into a fresh base.
 
 Readers map each file with ``np.memmap`` and slice plane views out of
 it zero-copy; N worker processes opening one store share the read-only
@@ -78,34 +44,32 @@ precision ints, and ``1 << numpy_int`` overflows), which is the only
 materialization the load path pays besides decoding the text blob.
 
 Truncated or corrupt *published* files fail loudly: every structural
-check (magic, version, footer, manifest bounds, block bounds, text
-encoding, generation manifest shape) raises
+check (framing, block bounds, text encoding, manifest shape) raises
 :class:`~repro.core.errors.IngestError` instead of serving garbage.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
-import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..core.errors import IngestError
+from .generations import (
+    AtomicFile,
+    FileFormat,
+    GenerationalReader,
+    Layers,
+    Manifest,
+    collect_garbage,
+    payload_file,
+    read_manifest,
+    write_manifest,
+)
 from .index import PageIndex
 from .node import NodeType, PageNode, WebPage
 
-MAGIC = b"RPWSTORE"
-FOOTER_MAGIC = b"RPWSEND1"
-VERSION = 1
-
-#: Format tag of the ``.gen`` generation manifest sidecar.
-GEN_FORMAT = 1
-
-_HEADER = struct.Struct("<8sII")
-_FOOTER = struct.Struct("<QQ8s")
+STORE_FORMAT = FileFormat("corpus store", b"RPWSTORE", b"RPWSEND1")
 
 #: One row per pre-order rank; packed (align=False) so row r of a page
 #: with block offset o lives at byte o + 21*r regardless of platform.
@@ -125,35 +89,7 @@ OFFSET_DTYPE = np.dtype("<u8")
 _TYPE_CODE = {NodeType.NONE: 0, NodeType.LIST: 1, NodeType.TABLE: 2}
 _TYPE_BY_CODE = {code: node_type for node_type, code in _TYPE_CODE.items()}
 
-
-def _corrupt(path: str, reason: str) -> IngestError:
-    return IngestError(f"corpus store {path!r} is unreadable: {reason}")
-
-
-def _fsync_dir(path: str) -> None:
-    """Best-effort directory fsync so a rename survives power loss."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def _publish_bytes(path: str, payload: bytes) -> None:
-    """Atomically publish ``payload`` at ``path`` (tmp → fsync → replace)."""
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path)
+_corrupt = STORE_FORMAT.corrupt
 
 
 class CorpusStoreWriter:
@@ -176,12 +112,10 @@ class CorpusStoreWriter:
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
-        self._tmp_path = self.path + ".tmp"
-        self._file = open(self._tmp_path, "wb")
-        self._file.write(_HEADER.pack(MAGIC, VERSION, 0))
-        self._offset = _HEADER.size
+        self._out = AtomicFile(self.path)
+        self._out.write(STORE_FORMAT.header())
+        self._offset = STORE_FORMAT.header_size
         self._manifest: dict[str, dict] = {}
-        self._closed = False
 
     def __enter__(self) -> "CorpusStoreWriter":
         return self
@@ -207,7 +141,7 @@ class CorpusStoreWriter:
         already present — re-ingesting a known page is a no-op, matching
         the cache semantics of the serving layer.
         """
-        if self._closed:
+        if self._out.closed:
             raise ValueError("writer is closed")
         if fingerprint in self._manifest:
             return False
@@ -234,7 +168,7 @@ class CorpusStoreWriter:
         # decodes with the same handler, so any str round-trips exactly.
         blob = "".join(index.texts).encode("utf-8", "surrogatepass")
         mask_bytes = (size + 7) // 8
-        write = self._file.write
+        write = self._out.write
         written = write(plane.tobytes())
         written += write(offsets.tobytes())
         written += write(blob)
@@ -252,30 +186,20 @@ class CorpusStoreWriter:
 
     def finalize(self) -> None:
         """Write manifest + footer, fsync, and atomically publish."""
-        if self._closed:
+        if self._out.closed:
             return
-        payload = json.dumps(
-            {"pages": self._manifest}, ensure_ascii=False, sort_keys=True
-        ).encode("utf-8")
-        self._file.write(payload)
-        self._file.write(_FOOTER.pack(self._offset, len(payload), FOOTER_MAGIC))
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self._file.close()
-        self._closed = True
-        os.replace(self._tmp_path, self.path)
-        _fsync_dir(self.path)
+        self._out.write(
+            STORE_FORMAT.trailer(self._offset, {"pages": self._manifest})
+        )
+        self._out.commit()
 
     def abort(self) -> None:
         """Discard everything written; the published path is untouched."""
-        if self._closed:
-            return
-        self._file.close()
-        self._closed = True
-        try:
-            os.unlink(self._tmp_path)
-        except OSError:
-            pass
+        self._out.abort()
+
+    def abandon(self) -> None:
+        """Stop writing as a crash would: the partial tmp stays on disk."""
+        self._out.abandon()
 
 
 def _block_length(size: int, text_bytes: int) -> int:
@@ -294,38 +218,10 @@ class _StoreFile:
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
-        try:
-            raw = np.memmap(self.path, dtype=np.uint8, mode="r")
-        except (OSError, ValueError) as exc:
-            raise _corrupt(self.path, str(exc)) from exc
-        total = raw.size
-        if total < _HEADER.size + _FOOTER.size:
-            raise _corrupt(self.path, f"file too short ({total} bytes)")
-        magic, version, _flags = _HEADER.unpack(
-            raw[: _HEADER.size].tobytes()
-        )
-        if magic != MAGIC:
-            raise _corrupt(self.path, "bad magic (not a corpus store)")
-        if version != VERSION:
-            raise _corrupt(self.path, f"unsupported version {version}")
-        manifest_offset, manifest_len, footer_magic = _FOOTER.unpack(
-            raw[total - _FOOTER.size :].tobytes()
-        )
-        if footer_magic != FOOTER_MAGIC:
-            raise _corrupt(
-                self.path, "bad footer magic (truncated or corrupt)"
-            )
-        if manifest_offset + manifest_len + _FOOTER.size != total:
-            raise _corrupt(self.path, "manifest bounds do not match file size")
-        try:
-            manifest = json.loads(
-                raw[manifest_offset : manifest_offset + manifest_len]
-                .tobytes()
-                .decode("utf-8")
-            )
-            pages = manifest["pages"]
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            raise _corrupt(self.path, f"manifest unreadable: {exc}") from exc
+        raw, manifest, manifest_offset = STORE_FORMAT.open(self.path)
+        pages = manifest.get("pages")
+        if not isinstance(pages, dict):
+            raise _corrupt(self.path, "manifest has no page table")
         for fingerprint, entry in pages.items():
             try:
                 size = entry["n"]
@@ -338,7 +234,7 @@ class _StoreFile:
                 ) from exc
             if (
                 size < 1
-                or offset < _HEADER.size
+                or offset < STORE_FORMAT.header_size
                 or offset + _block_length(size, text_bytes) > manifest_offset
             ):
                 raise _corrupt(
@@ -443,188 +339,78 @@ class _StoreFile:
         return page, entry["degraded"]
 
 
-def _generation_path(path: str) -> str:
-    return path + ".gen"
-
-
-def _segment_path(path: str, generation: int) -> str:
-    return f"{path}.seg-{generation}"
-
-
-def _read_generation_manifest(path: str) -> dict:
-    """The ``.gen`` sidecar as a dict; a synthetic generation 0 if absent."""
-    gen_path = _generation_path(path)
-    try:
-        with open(gen_path, "rb") as handle:
-            payload = handle.read()
-    except FileNotFoundError:
-        return {"format": GEN_FORMAT, "generation": 0,
-                "segments": [], "removed": []}
-    except OSError as exc:
-        raise _corrupt(gen_path, str(exc)) from exc
-    try:
-        manifest = json.loads(payload.decode("utf-8"))
-        if manifest["format"] != GEN_FORMAT:
-            raise ValueError(f"unsupported format {manifest['format']!r}")
-        manifest["generation"] = int(manifest["generation"])
-        if manifest["generation"] < 0:
-            raise ValueError("negative generation")
-        segments = manifest["segments"]
-        removed = manifest["removed"]
-        if not isinstance(segments, list) or not all(
-            isinstance(name, str) for name in segments
-        ):
-            raise ValueError("segments must be a list of file names")
-        if not isinstance(removed, list) or not all(
-            isinstance(fp, str) for fp in removed
-        ):
-            raise ValueError("removed must be a list of fingerprints")
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise _corrupt(gen_path, f"generation manifest unreadable: {exc}") from exc
-    return manifest
-
-
-def _open_generation(
-    path: str,
-) -> "tuple[int, list[_StoreFile], dict[str, _StoreFile], set[str]]":
-    """Open the current generation: base + referenced segments, composed."""
-    manifest = _read_generation_manifest(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    files = [_StoreFile(path)]
-    for name in manifest["segments"]:
-        files.append(_StoreFile(os.path.join(directory, name)))
-    removed = set(manifest["removed"])
-    routing: dict[str, _StoreFile] = {}
-    for store_file in files:  # later segments shadow earlier files
-        for fingerprint in store_file.pages:
-            routing[fingerprint] = store_file
-    for fingerprint in removed:
-        routing.pop(fingerprint, None)
-    return manifest["generation"], files, routing, removed
-
-
-class CorpusStoreReader:
+class CorpusStoreReader(GenerationalReader):
     """Read-only memmap view of a corpus store (base + update segments).
 
-    Cheap to open (header/footer/manifest validation; no page is read
+    Cheap to open (framing and manifest validation; no page is read
     until :meth:`load`), safe to share across threads, and **picklable
     by path** — unpickling re-opens the memmaps in the receiving
     process, so a reader can ride initargs into ``TaskRunner`` process
     workers where all workers share the files through the OS page cache.
-
-    :meth:`reload` swaps the reader to the newest published generation
-    in place; pages loaded from the previous generation stay valid (the
-    old mappings survive until the last loaded page drops them).
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        self._lock = threading.Lock()
-        self._install(*_open_generation(self.path))
-
-    def _install(
-        self,
-        generation: int,
-        files: "list[_StoreFile]",
-        routing: "dict[str, _StoreFile]",
-        removed: "set[str]",
-    ) -> None:
-        self._generation = generation
-        self._files = files
-        self._pages = routing
-        self._removed = removed
-
-    # -- pickling (reopen by path) ------------------------------------------
-
-    def __getstate__(self) -> dict:
-        return {"path": self.path}
-
-    def __setstate__(self, state: dict) -> None:
-        self.path = state["path"]
-        self._lock = threading.Lock()
-        self._install(*_open_generation(self.path))
-
-    # -- generations ---------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        return self._generation
+    def _open(self, manifest: Manifest) -> Layers:
+        files = [_StoreFile(self.path)]
+        files.extend(_StoreFile(self._resolve(name)) for name in manifest.store)
+        return Layers(manifest, files)
 
     def reload(self) -> bool:
-        """Re-open the newest published generation.
+        """Move to the newest published generation; True when it moved.
 
-        Returns True when the visible page set (or generation number)
-        changed.  Pages already loaded are untouched: they hold their
-        own references to the old mappings, which ``os.replace`` and
+        Pages already loaded are untouched: they hold their own
+        references to the old mappings, which ``os.replace`` and
         ``unlink`` cannot disturb.  Safe to call concurrently with
-        :meth:`load` — lookups read the routing table exactly once.
+        :meth:`load` — lookups read the current view exactly once.
         """
-        with self._lock:
-            generation, files, routing, removed = _open_generation(self.path)
-            changed = (
-                generation != self._generation
-                or routing.keys() != self._pages.keys()
-            )
-            self._install(generation, files, routing, removed)
-            return changed
+        return self._advance(read_manifest(self.path))
 
     # -- manifest queries ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._pages)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._pages
-
-    def fingerprints(self) -> Iterator[str]:
-        return iter(self._pages)
+        return len(self._view.owner)
 
     def entry(self, fingerprint: str) -> "Optional[dict]":
         """The live manifest entry for ``fingerprint`` (url etc.), if any."""
-        store_file = self._pages.get(fingerprint)
+        store_file = self._view.owner.get(fingerprint)
         if store_file is None:
             return None
         return store_file.pages[fingerprint]
 
     def stat(self) -> dict:
         """Aggregate shape of the store, for `repro corpus stat`."""
-        routing = self._pages
+        view = self._view
         entries = [
             store_file.pages[fingerprint]
-            for fingerprint, store_file in routing.items()
+            for fingerprint, store_file in view.owner.items()
         ]
         return {
             "path": self.path,
-            "file_bytes": sum(
-                int(store_file.raw.size) for store_file in self._files
-            ),
-            "pages": len(routing),
+            "file_bytes": sum(int(f.raw.size) for f in view.files),
+            "pages": len(entries),
             "nodes": sum(entry["n"] for entry in entries),
             "text_bytes": sum(entry["text_bytes"] for entry in entries),
-            "degraded_pages": sum(
-                1 for entry in entries if entry["degraded"]
-            ),
-            "generation": self._generation,
-            "segments": len(self._files) - 1,
-            "removed_pages": len(self._removed),
+            "degraded_pages": sum(1 for entry in entries if entry["degraded"]),
+            "generation": view.manifest.generation,
+            "segments": len(view.files) - 1,
+            "removed_pages": len(view.manifest.removed),
         }
 
     # -- page loads ----------------------------------------------------------
 
     def get(self, fingerprint: str) -> "Optional[tuple[WebPage, bool]]":
         """``(page, degraded)`` for ``fingerprint``, or None if absent."""
-        store_file = self._pages.get(fingerprint)
+        store_file = self._view.owner.get(fingerprint)
         if store_file is None:
             return None
         return store_file.load(fingerprint)
 
     def load(self, fingerprint: str) -> "tuple[WebPage, bool]":
         """Rehydrate one page (with its index prebuilt) from the planes."""
-        return self._pages[fingerprint].load(fingerprint)
+        return self._view.owner[fingerprint].load(fingerprint)
 
 
 class CorpusStoreUpdater:
-    """Crash-safe mutations to a published store, one generation at a time.
+    """Crash-safe mutations to a published corpus, one generation at a time.
 
     Usage::
 
@@ -635,9 +421,11 @@ class CorpusStoreUpdater:
         # exception aborts and removes the in-flight segment instead.
 
     :meth:`update` streams page blocks into ``<path>.seg-<G>.tmp``; no
-    published file is touched until :meth:`commit`, which runs the
-    two-step publish described in the module docstring (segment rename,
-    then manifest rename).  A crash at any byte boundary leaves the
+    published file is touched until :meth:`commit`.  Its first step,
+    :meth:`publish_segment`, publishes the store segment and — when the
+    corpus has an index — the index segment holding the staged pages'
+    postings; its second, :meth:`publish_manifest`, makes both visible
+    with one manifest swap.  A crash at any byte boundary leaves the
     previous generation fully openable.  One updater commits one
     generation; the instance is closed afterwards.  Single writer at a
     time — concurrent updaters would race the generation counter.
@@ -650,15 +438,16 @@ class CorpusStoreUpdater:
                 raise _corrupt(self.path, "no store at path")
             CorpusStoreWriter(self.path).finalize()
         self._reader = CorpusStoreReader(self.path)
-        self._base_generation = self._reader.generation
-        self._segment_target = _segment_path(
-            self.path, self._base_generation + 1
-        )
+        self._base = self._reader.manifest
+        #: The generation this updater publishes.
+        self.generation = self._base.generation + 1
+        self._segment_target = payload_file(self.path, "seg", self.generation)
         self._writer: "Optional[CorpusStoreWriter]" = None
-        self._removed = set(self._reader._removed)
-        self._added: set[str] = set()
+        self._removed = set(self._base.removed)
+        #: Staged pages with new bytes, kept for their index postings.
+        self._added: "dict[str, WebPage]" = {}
         self._restored: set[str] = set()
-        self._segment_published = False
+        self._segments: "Optional[tuple[Optional[str], Optional[str]]]" = None
         self._closed = False
 
     def __enter__(self) -> "CorpusStoreUpdater":
@@ -670,27 +459,20 @@ class CorpusStoreUpdater:
         else:
             self.abort()
 
-    @property
-    def generation(self) -> int:
-        """The generation this updater will publish (base + 1)."""
-        return self._base_generation + 1
-
     def _check_open(self) -> None:
         if self._closed:
             raise ValueError("updater is closed")
 
-    def _has_bytes(self, fingerprint: str) -> bool:
-        """Whether any on-disk file already stores this fingerprint."""
-        return any(
-            fingerprint in store_file.pages
-            for store_file in self._reader._files
-        )
+    def _stored(self, fingerprint: str) -> "Optional[_StoreFile]":
+        """The newest on-disk file holding this fingerprint's bytes."""
+        for store_file in reversed(self._reader._view.files):
+            if fingerprint in store_file.pages:
+                return store_file
+        return None
 
     def _dirty(self) -> bool:
         return bool(
-            self._added
-            or self._restored
-            or self._removed != self._reader._removed
+            self._added or self._restored or self._removed != self._base.removed
         )
 
     def update(
@@ -706,22 +488,19 @@ class CorpusStoreUpdater:
         self._check_open()
         if fingerprint in self._added or fingerprint in self._restored:
             return False
+        staged = self._writer is not None and fingerprint in self._writer
         if fingerprint not in self._removed and (
-            fingerprint in self._reader or (
-                self._writer is not None and fingerprint in self._writer
-            )
+            fingerprint in self._reader or staged
         ):
             return False
-        if self._has_bytes(fingerprint) or (
-            self._writer is not None and fingerprint in self._writer
-        ):
+        if self._stored(fingerprint) is not None:
             self._restored.add(fingerprint)
-            self._removed.discard(fingerprint)
-            return True
-        if self._writer is None:
-            self._writer = CorpusStoreWriter(self._segment_target)
-        self._writer.add_page(fingerprint, page, degraded=degraded)
-        self._added.add(fingerprint)
+        else:
+            if not staged:
+                if self._writer is None:
+                    self._writer = CorpusStoreWriter(self._segment_target)
+                self._writer.add_page(fingerprint, page, degraded=degraded)
+            self._added[fingerprint] = page
         self._removed.discard(fingerprint)
         return True
 
@@ -732,50 +511,62 @@ class CorpusStoreUpdater:
         live = staged or (
             fingerprint not in self._removed
             and (
-                self._has_bytes(fingerprint)
+                self._stored(fingerprint) is not None
                 or (self._writer is not None and fingerprint in self._writer)
             )
         )
         if not live:
             return False
-        self._added.discard(fingerprint)
+        self._added.pop(fingerprint, None)
         self._restored.discard(fingerprint)
         self._removed.add(fingerprint)
         return True
 
     def publish_segment(self) -> None:
-        """Step 1 of the publish: atomically rename the segment file."""
+        """Step 1 of the publish: atomically write both segment files.
+
+        The store segment holds the staged page blocks; the index
+        segment (:func:`~repro.retrieval.index.update_corpus_index`) the
+        postings of every page this generation makes live.  Neither is
+        visible until :meth:`publish_manifest`.
+        """
         self._check_open()
-        if self._segment_published or self._writer is None:
+        if self._segments is not None:
             return
-        if len(self._writer) == 0:
-            self._writer.abort()
-            self._writer = None
-            return
-        self._writer.finalize()
-        self._segment_published = True
+        store_segment = None
+        if self._writer is not None:
+            self._writer.finalize()
+            store_segment = os.path.basename(self._segment_target)
+        pages = dict(self._added)
+        for fingerprint in self._restored:
+            pages[fingerprint] = self._stored(fingerprint).load(fingerprint)[0]
+        # The index codec builds on this module, so it is imported late.
+        from ..retrieval.index import update_corpus_index
+
+        index_segment = update_corpus_index(
+            self.path, self._base, self.generation, pages
+        )
+        self._segments = (store_segment, index_segment)
 
     def publish_manifest(self) -> int:
-        """Step 2 of the publish: atomically swap the ``.gen`` manifest."""
+        """Step 2 of the publish: one manifest swap makes it all visible."""
         self._check_open()
-        segments = list(self._reader._files[1:])
-        names = [os.path.basename(store_file.path) for store_file in segments]
-        if self._segment_published:
-            names.append(os.path.basename(self._segment_target))
-        generation = self._base_generation + 1
-        payload = json.dumps(
-            {
-                "format": GEN_FORMAT,
-                "generation": generation,
-                "segments": names,
-                "removed": sorted(self._removed),
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        ).encode("utf-8")
-        _publish_bytes(_generation_path(self.path), payload)
+        store_segment, index_segment = self._segments or (None, None)
+        base = self._base
+        index = base.index
+        if index is not None and index_segment is not None:
+            index += (index_segment,)
+        write_manifest(
+            self.path,
+            Manifest(
+                generation=self.generation,
+                removed=frozenset(self._removed),
+                store=base.store + ((store_segment,) if store_segment else ()),
+                index=index,
+            ),
+        )
         self._closed = True
-        return generation
+        return self.generation
 
     def commit(self) -> int:
         """Publish all staged mutations; returns the live generation.
@@ -786,7 +577,7 @@ class CorpusStoreUpdater:
         self._check_open()
         if not self._dirty():
             self.abort()
-            return self._base_generation
+            return self._base.generation
         self.publish_segment()
         return self.publish_manifest()
 
@@ -794,111 +585,50 @@ class CorpusStoreUpdater:
         """Discard staged mutations; published files are untouched."""
         if self._closed:
             return
-        if self._writer is not None and not self._segment_published:
+        if self._writer is not None:
             self._writer.abort()
         self._closed = True
 
     def abandon(self) -> None:
         """Simulate a crash mid-update (tests/chaos): drop all in-flight
         state, leaving any partially written segment tmp on disk."""
-        if self._closed:
-            return
-        if self._writer is not None and not self._writer._closed:
-            self._writer._file.close()
-            self._writer._closed = True
+        if self._writer is not None:
+            self._writer.abandon()
         self._closed = True
-
-
-def collect_garbage(path: str) -> "list[str]":
-    """Delete generation debris not referenced by the current manifest.
-
-    Removes orphan segments (published but never referenced — a crash
-    between the two publish steps) and stale ``*.tmp`` files from
-    interrupted writes.  Returns the deleted paths.  Safe with respect
-    to live readers: only unreferenced files are touched, and unlink
-    never disturbs an open memmap.  Assumes the single-writer rule (an
-    updater running in another process could lose its in-flight tmp).
-    """
-    path = os.fspath(path)
-    manifest = _read_generation_manifest(path)
-    referenced = set(manifest["segments"])
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    base = os.path.basename(path)
-    deleted: list[str] = []
-    for name in sorted(os.listdir(directory)):
-        if not name.startswith(base + "."):
-            continue
-        stale_tmp = name.endswith(".tmp") and (
-            name == base + ".tmp"
-            or name == base + ".gen.tmp"
-            or name.startswith(base + ".seg-")
-        )
-        orphan_segment = (
-            name.startswith(base + ".seg-")
-            and not name.endswith(".tmp")
-            and name not in referenced
-        )
-        if not (stale_tmp or orphan_segment):
-            continue
-        target = os.path.join(directory, name)
-        try:
-            os.unlink(target)
-        except OSError:
-            continue
-        deleted.append(target)
-    return deleted
 
 
 def compact_store(path: str) -> dict:
     """Fold all live pages into a fresh base and drop the segments.
 
-    Publishes the result as the next generation (empty ``segments`` and
-    ``removed``), then garbage-collects the stale files.  The base file
-    is replaced *before* the manifest swap: a crash between the two
-    leaves the old manifest over the new base, which still resolves
-    every live fingerprint to identical bytes (content addressing) and
-    hides every removed one (they are simply absent from the new base).
+    Publishes the result as the next generation (no segments, nothing
+    removed), then garbage-collects the stale files.  A corpus with an
+    index gets a full index rebuild in the same publish (its IdfModel
+    refit over the compacted pages).  The base file is replaced *before*
+    the manifest swap: a crash between the two leaves the old manifest
+    over the new base, which still resolves every live fingerprint to
+    identical bytes (content addressing) and hides every removed one
+    (they are simply absent from the new base).
     """
     path = os.fspath(path)
     reader = CorpusStoreReader(path)
-    tmp = path + ".tmp"
+    generation = reader.generation + 1
     manifest_pages: dict[str, dict] = {}
-    with open(tmp, "wb") as handle:
-        handle.write(_HEADER.pack(MAGIC, VERSION, 0))
-        offset = _HEADER.size
-        for fingerprint, store_file in reader._pages.items():
+    with AtomicFile(path) as out:
+        out.write(STORE_FORMAT.header())
+        offset = STORE_FORMAT.header_size
+        for fingerprint, store_file in reader._view.owner.items():
             entry = store_file.pages[fingerprint]
             length = _block_length(entry["n"], entry["text_bytes"])
-            handle.write(
-                store_file.view[entry["offset"] : entry["offset"] + length]
-            )
-            moved = dict(entry)
-            moved["offset"] = offset
-            manifest_pages[fingerprint] = moved
+            out.write(store_file.view[entry["offset"] : entry["offset"] + length])
+            manifest_pages[fingerprint] = dict(entry, offset=offset)
             offset += length
-        payload = json.dumps(
-            {"pages": manifest_pages}, ensure_ascii=False, sort_keys=True
-        ).encode("utf-8")
-        handle.write(payload)
-        handle.write(_FOOTER.pack(offset, len(payload), FOOTER_MAGIC))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path)
-    generation = reader.generation + 1
-    _publish_bytes(
-        _generation_path(path),
-        json.dumps(
-            {
-                "format": GEN_FORMAT,
-                "generation": generation,
-                "segments": [],
-                "removed": [],
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        ).encode("utf-8"),
-    )
+        out.write(STORE_FORMAT.trailer(offset, {"pages": manifest_pages}))
+    index = None
+    if reader.manifest.index is not None:
+        from ..retrieval.index import build_index_file
+
+        index = (build_index_file(path, reader, generation),)
+    write_manifest(path, Manifest(generation=generation, index=index))
     collected = collect_garbage(path)
     return {
         "path": path,
@@ -912,15 +642,3 @@ def compact_store(path: str) -> dict:
 def open_store(path: str) -> CorpusStoreReader:
     """Open an existing corpus store (validating its structure)."""
     return CorpusStoreReader(path)
-
-
-# Public aliases of the publish/generation primitives, shared with the
-# inverted-index sidecar (``repro.retrieval.index``) which replicates
-# this module's crash-safety discipline — atomic tmp→fsync→replace
-# publishes and an append-only ``.gen`` segment manifest — over its own
-# postings file format.  One implementation, one set of invariants.
-publish_bytes = _publish_bytes
-fsync_dir = _fsync_dir
-generation_path = _generation_path
-segment_path = _segment_path
-read_generation_manifest = _read_generation_manifest

@@ -19,12 +19,7 @@ from repro.core.webqa import WebQA
 from repro.dataset.corpus import load_task_dataset
 from repro.dataset.tasks import TASKS, TASKS_BY_ID
 from repro.nlp.tokenize import words
-from repro.retrieval.index import (
-    entity_key,
-    index_path,
-    open_corpus_index,
-    page_text,
-)
+from repro.retrieval.index import entity_key, open_corpus_index, page_text
 from repro.retrieval.index import build_corpus_index
 from repro.retrieval.router import cut_top_k, query_terms, scan_scores
 from repro.serving.corpus import build_dataset_store
@@ -119,7 +114,7 @@ def _term_pool(store_path):
 @pytest.fixture(scope="module")
 def scoring_rig(rig):
     _service, path = rig
-    reader = open_corpus_index(index_path(path))
+    reader = open_corpus_index(path)
     return open_store(path), reader, _term_pool(path)
 
 

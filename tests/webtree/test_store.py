@@ -11,12 +11,15 @@ instead of serving garbage planes.
 """
 
 import pickle
+import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import IngestError
+from repro.retrieval.index import build_corpus_index, open_corpus_index
+from repro.serving.corpus import build_corpus_store, update_corpus_store
 from repro.serving.ingest import page_fingerprint
 from repro.webtree import page_from_html
 from repro.webtree.node import NodeType, PageNode, WebPage
@@ -416,15 +419,15 @@ class TestGenerations:
 
 
 class TestGenerationCrashSafety:
-    """The byte-boundary sweep: a crash at *any* point of the update
-    write sequence leaves the previous generation fully openable.
+    """A crash at *any* point of an update leaves the previous generation
+    fully openable, and inconsistent *published* state fails loudly.
 
-    The sequence (see the store module docstring) is: stream segment
-    ``.tmp`` → fsync+rename segment → write manifest ``.tmp`` →
-    fsync+rename manifest.  We materialize the exact directory state at
-    every byte boundary of both writes and at both rename seams, and
-    assert each state opens at the previous generation and serves its
-    pages — never an IngestError on the published path.
+    The write sequence (see :mod:`repro.webtree.generations`) is: each
+    new payload file as ``.tmp`` → fsync+rename, then the manifest
+    ``.tmp`` → fsync+rename.  The byte-boundary sweep materializes the
+    exact directory state at every byte of every write and at every
+    rename seam of an indexed corpus's update; the other cases pin the
+    store payload on its own.
     """
 
     def _materialize(self, tmp_path):
@@ -459,32 +462,61 @@ class TestGenerationCrashSafety:
         assert_page_equal(loaded, self.old_page)
 
     def test_every_byte_boundary_reopens_previous_generation(self, tmp_path):
-        base, segment, manifest = self._materialize(tmp_path)
+        """One sweep over the combined publish of an indexed corpus.
+
+        The update writes, in order: the store segment tmp, its rename,
+        the index segment tmp, its rename, the manifest tmp and its
+        rename.  Every state up to the last rename must open *both*
+        readers at the previous generation with the previous pages and
+        postings; the final state serves the update in both.
+        """
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        path = str(scratch / "c.rpw")
+        old_html = "<html><body><h1>Old page</h1><p>alpha beta</p></body></html>"
+        new_html = "<html><body><h1>New page</h1><p>gamma delta</p></body></html>"
+        url = "https://store.test/p"
+        build_corpus_store([(old_html, url)], path)
+        build_corpus_index(path)
+        before = {p.name: p.read_bytes() for p in scratch.iterdir()}
+        old_store, old_index = open_store(path), open_corpus_index(path)
+        old_fp = page_fingerprint(old_html, url)
+        old_page, _ = old_store.load(old_fp)
+        old_postings = old_index.postings_for(old_fp)
+        update_corpus_store(path, [(new_html, url)])
+        new_fp = page_fingerprint(new_html, url)
+        after = {p.name: p.read_bytes() for p in scratch.iterdir()}
+        steps = ["c.rpw.seg-2", "c.rpw.idx.seg-2", "c.rpw.gen"]
+        assert set(after) - set(before) == set(steps[:2])
+
         states = []
-        # Crash mid-segment-write: every prefix of the segment tmp.
-        for keep in range(len(segment) + 1):
-            states.append({"pages.rpw": base,
-                           "pages.rpw.seg-1.tmp": segment[:keep]})
-        # Crash between segment rename and manifest write: the segment
-        # is durable but unreferenced.
-        states.append({"pages.rpw": base, "pages.rpw.seg-1": segment})
-        # Crash mid-manifest-write: every prefix of the manifest tmp.
-        for keep in range(len(manifest) + 1):
-            states.append({"pages.rpw": base, "pages.rpw.seg-1": segment,
-                           "pages.rpw.gen.tmp": manifest[:keep]})
-        for index, files in enumerate(states):
-            reader = self._open_state(tmp_path, f"state{index}", files)
-            self._assert_previous_generation(reader)
-        # And the state *after* the final rename serves the update.
-        committed = self._open_state(
-            tmp_path, "committed",
-            {"pages.rpw": base, "pages.rpw.seg-1": segment,
-             "pages.rpw.gen": manifest},
-        )
-        assert committed.generation == 1
-        assert "fp-old" not in committed
-        loaded, _ = committed.load("fp-new")
-        assert_page_equal(loaded, self.new_page)
+        published = dict(before)
+        for name in steps:
+            for keep in range(len(after[name]) + 1):
+                states.append({**published, name + ".tmp": after[name][:keep]})
+            published = {**published, name: after[name]}
+            if name != "c.rpw.gen":
+                states.append(dict(published))
+        state_dir = tmp_path / "state"
+        for files in states:
+            state_dir.mkdir()
+            for filename, payload in files.items():
+                (state_dir / filename).write_bytes(payload)
+            state_path = str(state_dir / "c.rpw")
+            store, index = open_store(state_path), open_corpus_index(state_path)
+            assert store.generation == index.generation == 1
+            assert set(store.fingerprints()) == set(index.fingerprints()) == {old_fp}
+            assert_page_equal(store.load(old_fp)[0], old_page)
+            assert index.postings_for(old_fp) == old_postings
+            shutil.rmtree(state_dir)
+        # And the state after the manifest rename serves the update.
+        state_dir.mkdir()
+        for filename, payload in published.items():
+            (state_dir / filename).write_bytes(payload)
+        state_path = str(state_dir / "c.rpw")
+        store, index = open_store(state_path), open_corpus_index(state_path)
+        assert store.generation == index.generation == 2
+        assert set(store.fingerprints()) == set(index.fingerprints()) == {new_fp}
 
     def test_bit_flipped_tmp_files_are_ignored(self, tmp_path):
         base, segment, manifest = self._materialize(tmp_path)

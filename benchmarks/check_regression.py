@@ -1,7 +1,7 @@
 """Benchmark-regression gate for CI.
 
 Compares a freshly measured micro-benchmark artifact (the output of
-``benchmarks/persist.py``) against the committed baseline
+``python -m repro.cli bench --output``) against the committed baseline
 ``BENCH_synthesis_micro.json`` and fails when a guarded benchmark's
 median regresses by more than the allowed ratio.  The guarded set,
 threshold and comparison logic live in :mod:`repro.benchtool` (shared
@@ -15,7 +15,7 @@ in :mod:`repro.serving.loadgen` instead, against the committed
 
 Usage::
 
-    python benchmarks/persist.py --output fresh.json
+    python -m repro.cli bench --output fresh.json
     python benchmarks/check_regression.py fresh.json          # vs committed baseline
     python benchmarks/check_regression.py fresh.json --baseline other.json
     python benchmarks/check_regression.py fresh.json --max-regression 1.5

@@ -7,7 +7,8 @@ primitives, DSL evaluation, guard enumeration and extractor synthesis.
 DSL evaluation and synthesis are measured in both engine modes — the
 default ``indexed`` engine and the ``reference`` interpreter it
 replaced — so the speedup is tracked directly in this suite (and in the
-BENCH_synthesis_micro.json artifact written by ``benchmarks/persist.py``).
+BENCH_synthesis_micro.json artifact written by
+``python -m repro.cli bench --output``).
 """
 
 from dataclasses import replace

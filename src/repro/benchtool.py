@@ -2,15 +2,14 @@
 
 One home for the machinery three entry points share:
 
-* ``benchmarks/persist.py`` — measure the micro suite and write the
-  committed ``BENCH_synthesis_micro.json`` artifact;
-* ``benchmarks/check_regression.py`` — the CI regression gate over the
-  :data:`GUARDED` medians;
 * ``python -m repro.cli bench`` — measure (or load) a fresh artifact,
   print a per-benchmark delta table against a baseline, and exit
   non-zero when a guarded benchmark regressed (what the CI
   ``bench-regression`` job runs, and the local one-liner for checking a
-  perf change before pushing).
+  perf change before pushing); ``--output BENCH_synthesis_micro.json``
+  rewrites the committed artifact;
+* ``benchmarks/check_regression.py`` — the CI regression gate over the
+  :data:`GUARDED` medians.
 """
 
 from __future__ import annotations

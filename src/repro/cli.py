@@ -351,9 +351,10 @@ def cmd_serve_stat(args: argparse.Namespace) -> int:
     """Stand up a small sharded gateway, drive a burst, print health.
 
     The operator's-eye view of :meth:`ServingGateway.health`: per-shard
-    queue depth, in-flight, pool/dispatcher liveness, breaker state and
-    route versions, plus the gateway batching/shedding counters — over
-    a seeded synthetic burst so the numbers are reproducible.
+    queue depth, in-flight and pool/dispatcher liveness, one version
+    and circuit per route (the shards share one route table), plus the
+    gateway batching/shedding counters — over a seeded synthetic burst
+    so the numbers are reproducible.
     """
     from .serving.gateway import ServingGateway
     from .serving.loadgen import LoadConfig, build_workload
@@ -390,7 +391,7 @@ def cmd_serve_stat(args: argparse.Namespace) -> int:
         f"max batch: {stats['max_batch_size']}"
     )
     print(
-        f"hot swaps: {stats['hot_swaps']}  rollbacks: {stats['rollbacks']}  "
+        f"hot swaps: {health['hot_swaps']}  rollbacks: {health['rollbacks']}  "
         f"queue depth bound: {health['queue_depth_bound']}"
     )
     generation = health["generation"]
@@ -407,14 +408,11 @@ def cmd_serve_stat(args: argparse.Namespace) -> int:
             f"{health['inflight'][index]:>8} "
             f"{health['invalidations'][index]:>5} {pool:>6} {alive:>10}"
         )
-    for route in sorted(health["versions"]):
-        versions = " ".join(
-            (v[:10] if v else "-") for v in health["versions"][route]
+    for route, version in sorted(health["versions"].items()):
+        print(
+            f"route {route}: version {version[:10] or '-'}  "
+            f"circuit {health['circuits'][route]}"
         )
-        circuits = " ".join(
-            str(c) for c in health["circuits"].get(route, [])
-        )
-        print(f"route {route}: versions [{versions}]  circuits [{circuits}]")
     return 0
 
 

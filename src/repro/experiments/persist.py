@@ -7,8 +7,9 @@ metadata header (experiment name, corpus scale, timestamp supplied by
 the caller).
 
 The generic artifact plumbing (canonical text form, header shape, file
-IO) lives in :mod:`repro.persist`, shared with ``benchmarks/persist.py``
-and the program-artifact layer; this module only contributes the
+IO) lives in :mod:`repro.persist`, shared with the micro-benchmark
+artifact (``python -m repro.cli bench --output``) and the
+program-artifact layer; this module only contributes the
 experiment-specific row encodings.
 """
 

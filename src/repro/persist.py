@@ -2,7 +2,7 @@
 
 Three subsystems persist JSON artifacts with the same conventions —
 experiment results (:mod:`repro.experiments.persist`), micro-benchmark
-medians (``benchmarks/persist.py``) and program artifacts
+medians (``python -m repro.cli bench --output``) and program artifacts
 (:mod:`repro.core.artifact`).  Each used to hand-roll the identical
 ``json.dumps``/file plumbing; this module is the single home for it.
 

@@ -19,11 +19,13 @@ registered tools are stateless, loadable
   isolation, deadlines, bounded retry, admission control, per-route
   circuit breakers — see the module docstring for the failure model).
 * :mod:`repro.serving.gateway` — :class:`ServingGateway`: concurrent
-  ``ask``/``ask_many`` (sync and asyncio) over N replica
-  :class:`QAService` shards with content-affinity hashing, per-shard
-  micro-batch coalescing and queue-depth backpressure; hot-swap,
-  rollback and :class:`~repro.serving.live.LiveCorpus` feeds fan out
-  to every shard.
+  ``ask``/``ask_many`` (sync and asyncio) over N :class:`QAService`
+  shards with content-affinity hashing, per-shard micro-batch
+  coalescing and queue-depth backpressure.  The shards share one
+  control plane (route table, circuit breakers, live corpus, fault
+  injector), so a hot-swap, rollback or
+  :class:`~repro.serving.live.LiveCorpus` feed is one transition that
+  every shard sees at once.
 * :mod:`repro.serving.loadgen` — the seeded closed-/open-loop load
   generator behind ``repro bench serve-load`` and the committed
   ``BENCH_serving.json`` SLO gate.

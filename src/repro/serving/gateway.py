@@ -1,21 +1,30 @@
-"""ServingGateway: concurrent traffic over N replica QAService shards.
+"""ServingGateway: concurrent traffic over N QAService shards, one control plane.
 
 The single-process :class:`~repro.serving.service.QAService` serves one
 caller at a time per pool; the gateway turns it into a serving
-*platform* (ROADMAP open item 1): a thread- and asyncio-friendly
-front-end that accepts concurrent ``ask``/``ask_many`` traffic, hashes
-every request onto one of N replica shards, coalesces queued requests
-into per-shard micro-batches, and sheds deterministically when a shard
-queue hits its depth bound.
+*platform*: a thread- and asyncio-friendly front-end that accepts
+concurrent ``ask``/``ask_many`` traffic, hashes every request onto one
+of N shards, coalesces queued requests into per-shard micro-batches,
+and sheds deterministically when a shard queue hits its depth bound.
 
-Architecture — four moving parts:
+Architecture — one control plane, N data-plane shards:
 
-* **Shards.**  N full :class:`QAService` replicas, each with its own
-  persistent :class:`~repro.runtime.TaskRunner` pool and its own
-  bounded :class:`~repro.serving.ingest.PageCache`, all warm-started
-  from **one shared** :class:`~repro.webtree.store.CorpusStoreReader`
-  (memmapped planes are read-only; N shards share the bytes through
-  the OS page cache).
+* **Shards.**  One :class:`QAService` built from the gateway's keyword
+  arguments plus N-1 :meth:`~QAService.replica` copies of it.  Each
+  shard owns what sharding partitions: a persistent
+  :class:`~repro.runtime.TaskRunner` pool, a bounded
+  :class:`~repro.serving.ingest.PageCache`, its request counters and
+  its in-flight admission count.  All of them read **one shared**
+  :class:`~repro.webtree.store.CorpusStoreReader` (memmapped planes are
+  read-only; the shards share the bytes through the OS page cache).
+* **One control plane.**  The shards share a single
+  :class:`~repro.serving.service._ControlPlane`: one route table (each
+  route's version, epoch, pins, draining list and circuit breaker), the
+  live-corpus attachment, the fault injector and the corpus index.
+  ``register``/``rollback``/``inject_faults`` are inherited from the
+  service unchanged and make one transition that every shard sees at
+  once, so shards cannot serve different versions, and one breaker per
+  route counts failures on whichever shard they land.
 * **Content-affinity hashing.**  A request's shard is a pure function
   of its page fingerprint (:func:`~repro.serving.ingest.page_fingerprint`
   over ``(url, html)``) — the same page always lands on the same shard,
@@ -40,14 +49,12 @@ Architecture — four moving parts:
   nothing is dropped silently — every refused request gets a
   structured rejection.
 
-Control-plane operations fan out: :meth:`register` hot-swaps a route
-on every shard under each shard's own epoch/refcount drain protocol,
-:meth:`rollback` restores the previous version everywhere, and a
-:class:`~repro.serving.live.LiveCorpus` may be constructed **directly
-over the gateway** — it duck-types as a service (shared ``store``, a
-fan-out cache facade, ``register``/``route_version``/``tool``/``stats``)
-so ``feed()`` publishes one corpus generation, invalidates every shard's
-cache exactly, refits once, and swaps all shards to the same candidate.
+A :class:`~repro.serving.live.LiveCorpus` may be constructed **directly
+over the gateway**: it sees the shared ``store``, a fan-out ``cache``
+facade (exact invalidation on every shard, warm-up on the home shard
+only) and the shared control plane, so ``feed()`` publishes one corpus
+generation, invalidates every shard's cache exactly, refits once and
+swaps the one route table.
 
 The differential bar is absolute and pinned by
 ``tests/serving/test_gateway.py``: for any shard count, concurrency
@@ -66,9 +73,8 @@ from dataclasses import dataclass, field
 from ..core.errors import DeadlineExceeded, RejectedError
 from ..retrieval.router import DEFAULT_TOP_K, CorpusAnswer
 from ..runtime.batchq import CoalescingQueue, QueueClosed
-from .faults import FaultInjector, FaultPlan
-from .ingest import DEFAULT_LIMITS, ServingLimits, page_fingerprint
-from .service import QAService, ServingRequest, ServingResult
+from .ingest import page_fingerprint
+from .service import QAService, ServingRequest, ServingResult, _RouteControl
 
 
 @dataclass
@@ -76,8 +82,9 @@ class GatewayStats:
     """Front-end counters: what entered, what was refused, how it batched.
 
     Per-shard serving detail (stage seconds, retries, failures) lives
-    on each shard's own :class:`~repro.serving.service.ServiceStats`;
-    these counters cover the gateway layer itself.
+    on each shard's own :class:`~repro.serving.service.ServiceStats`,
+    and route-table events (hot-swaps, rollbacks) on the control
+    plane's; these counters cover the gateway layer itself.
     """
 
     submitted: int = 0
@@ -86,8 +93,6 @@ class GatewayStats:
     batches: int = 0
     batched_requests: int = 0
     max_batch_size: int = 0
-    hot_swaps: int = 0
-    rollbacks: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record_submit(self, count: int = 1) -> None:
@@ -104,14 +109,6 @@ class GatewayStats:
             self.batched_requests += size
             self.max_batch_size = max(self.max_batch_size, size)
 
-    def record_swap(self) -> None:
-        with self._lock:
-            self.hot_swaps += 1
-
-    def record_rollback(self) -> None:
-        with self._lock:
-            self.rollbacks += 1
-
     def mean_batch_size(self) -> float:
         return self.batched_requests / self.batches if self.batches else 0.0
 
@@ -126,8 +123,6 @@ class GatewayStats:
             "batches": self.batches,
             "mean_batch_size": round(self.mean_batch_size(), 2),
             "max_batch_size": self.max_batch_size,
-            "hot_swaps": self.hot_swaps,
-            "rollbacks": self.rollbacks,
         }
 
 
@@ -154,6 +149,14 @@ class _FanoutCache:
         self._gateway._shards[home].cache.put(fingerprint, page, degraded)
 
 
+def _answers(results: "list[ServingResult]") -> "list[tuple[str, ...]]":
+    """``strict=True`` results: the lowest-index error raises, else answers."""
+    for result in results:
+        if result.error is not None:
+            raise result.error
+    return [result.answer for result in results]
+
+
 class _Pending:
     """One queued request: the work plus the future its caller awaits."""
 
@@ -164,13 +167,14 @@ class _Pending:
         self.future = future
 
 
-class ServingGateway:
-    """N replica :class:`QAService` shards behind one concurrent front-end.
+class ServingGateway(_RouteControl):
+    """N :class:`QAService` shards behind one concurrent front-end.
 
     Parameters
     ----------
     shards:
-        Replica count.  Each shard owns a pool and a page cache.
+        Shard count.  Each shard owns a pool and a page cache; all of
+        them share one control plane.
     store:
         A corpus store path or opened
         :class:`~repro.webtree.store.CorpusStoreReader`, shared by all
@@ -184,10 +188,16 @@ class ServingGateway:
         Overflow resolves instantly to a
         :class:`~repro.core.errors.RejectedError` (``"overload"``)
         result — the outermost rung of the backpressure ladder.
-    jobs / backend / page_cache_size / retry_policy / deadline_seconds /
-    max_inflight / circuit_threshold / circuit_reset_seconds / limits /
-    fault_injector / clock:
-        Forwarded to every shard's :class:`QAService` constructor.
+    **service_kwargs:
+        Every other :class:`QAService` parameter (``jobs``, ``backend``,
+        ``page_cache_size``, ``limits``, ``fault_injector``,
+        ``circuit_threshold``, ...), applied to each shard.
+
+    The control-plane operations — ``register``, ``unregister``,
+    ``rollback``, ``route_version``, ``route_drained``,
+    ``inject_faults``, ``attach_live``/``feed`` — are the service's own
+    (:class:`~repro.serving.service._RouteControl`), run once on the
+    shared plane.
     """
 
     def __init__(
@@ -197,48 +207,21 @@ class ServingGateway:
         max_batch: int = 32,
         flush_delay_seconds: float = 0.002,
         queue_depth: "int | None" = None,
-        jobs: int = 1,
-        backend: str = "thread",
-        page_cache_size: int = 256,
-        limits: "ServingLimits | None" = DEFAULT_LIMITS,
-        fault_injector: "FaultInjector | FaultPlan | None" = None,
         **service_kwargs,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        import os
-
-        if isinstance(store, (str, os.PathLike)):
-            from ..webtree.store import CorpusStoreReader
-
-            store = CorpusStoreReader(store)
-        self.store = store
+        primary = QAService(max_batch=max_batch, store=store, **service_kwargs)
+        self._shards = [primary] + [primary.replica() for _ in range(shards - 1)]
+        self.control = primary.control
+        self.store = primary.store
+        self.limits = primary.limits
         self.shards = shards
         self.max_batch = max_batch
         self.queue_depth = queue_depth
-        self.limits = limits
-        if isinstance(fault_injector, FaultPlan):
-            fault_injector = FaultInjector(fault_injector)
-        self._injector = fault_injector
         self.stats = GatewayStats()
         self.cache = _FanoutCache(self)
-        self._live: "object | None" = None
-        self._routes: "set[str]" = set()
-        self._routes_lock = threading.Lock()
         self._closed = False
-        self._shards = [
-            QAService(
-                jobs=jobs,
-                backend=backend,
-                max_batch=max_batch,
-                page_cache_size=page_cache_size,
-                limits=limits,
-                fault_injector=fault_injector,
-                store=store,
-                **service_kwargs,
-            )
-            for _ in range(shards)
-        ]
         self._queues = [
             CoalescingQueue(
                 max_batch=max_batch,
@@ -307,94 +290,6 @@ class ServingGateway:
         """Direct access to one replica (tests, operators)."""
         return self._shards[index]
 
-    # -- control plane (fan-out) ---------------------------------------------
-
-    def register(
-        self,
-        route: str,
-        source: "object",
-        version: "str | None" = None,
-    ):
-        """Bind ``route`` on every shard; re-binding hot-swaps everywhere.
-
-        The artifact is loaded (or the tool validated) exactly once, on
-        shard 0; the remaining shards register the same tool object
-        under the same version id, each swapping atomically under its
-        own epoch/refcount protocol.  Tools are stateless at serving
-        time, so sharing one instance across shard pools is the same
-        sharing the shard's own worker threads already do.
-        """
-        swap = route in self._routes
-        tool = self._shards[0].register(route, source, version=version)
-        if version is None:
-            version = self._shards[0].route_version(route)
-        for shard in self._shards[1:]:
-            shard.register(route, tool, version=version)
-        with self._routes_lock:
-            self._routes.add(route)
-        if swap:
-            self.stats.record_swap()
-        return tool
-
-    def unregister(self, route: str) -> None:
-        for shard in self._shards:
-            shard.unregister(route)
-        with self._routes_lock:
-            self._routes.discard(route)
-
-    def routes(self) -> "tuple[str, ...]":
-        return self._shards[0].routes()
-
-    def tool(self, route: str):
-        return self._shards[0].tool(route)
-
-    def route_version(self, route: str) -> str:
-        return self._shards[0].route_version(route)
-
-    def route_versions(self, route: str) -> "list[str]":
-        """The version each shard currently serves (all equal when quiet)."""
-        return [shard.route_version(route) for shard in self._shards]
-
-    def route_drained(self, route: str) -> bool:
-        """No retired version still serves a call, on *any* shard."""
-        return all(shard.route_drained(route) for shard in self._shards)
-
-    def rollback(self, route: str) -> str:
-        """Restore ``route``'s previous version on every shard."""
-        version = ""
-        for shard in self._shards:
-            version = shard.rollback(route)
-        self.stats.record_rollback()
-        return version
-
-    def inject_faults(
-        self, injector: "FaultInjector | FaultPlan | None"
-    ) -> None:
-        if isinstance(injector, FaultPlan):
-            injector = FaultInjector(injector)
-        self._injector = injector
-        for shard in self._shards:
-            shard.inject_faults(injector)
-
-    # -- live corpus ---------------------------------------------------------
-
-    def attach_live(self, live: "object") -> None:
-        """Attach a :class:`LiveCorpus` built over this gateway."""
-        self._live = live
-
-    @property
-    def live(self) -> "object | None":
-        return self._live
-
-    def feed(self, html: str, url: str = "", **kwargs):
-        """Feed one changed document to the attached live corpus."""
-        if self._live is None:
-            raise ValueError(
-                "no live corpus attached; construct "
-                "repro.serving.live.LiveCorpus(gateway, ...) first"
-            )
-        return self._live.feed(html, url=url, **kwargs)
-
     # -- operator controls ---------------------------------------------------
 
     def pause_shard(self, index: int) -> None:
@@ -410,13 +305,14 @@ class ServingGateway:
     def health(self) -> dict:
         """The operator snapshot: backpressure before it sheds.
 
-        Top level: the gateway's own counters plus the per-shard
-        queue/in-flight/breaker/version summary the satellite asks for;
-        ``shards`` carries each replica's full
-        :meth:`QAService.health` for drill-down.
+        Top level: the gateway's own counters, the per-shard
+        queue/in-flight/pool summary, and the route-level state the
+        shards share (one version, epoch and circuit per route, and the
+        swap/rollback counts) reported once; ``per_shard`` carries each
+        shard's full :meth:`QAService.health` for drill-down.
         """
         shard_health = [shard.health() for shard in self._shards]
-        routes = self.routes()
+        plane = shard_health[0]
         total_requests = sum(h["stats"]["requests"] for h in shard_health)
         starts = [
             shard.stats.span_started
@@ -445,13 +341,11 @@ class ServingGateway:
             "inflight": [h["inflight"] for h in shard_health],
             "pools_broken": [h["pools_broken"] for h in shard_health],
             "dispatchers_alive": [t.is_alive() for t in self._dispatchers],
-            "circuits": {
-                route: [h["circuits"].get(route) for h in shard_health]
-                for route in routes
-            },
-            "versions": {
-                route: self.route_versions(route) for route in routes
-            },
+            "circuits": plane["circuits"],
+            "versions": plane["versions"],
+            "epochs": plane["epochs"],
+            "hot_swaps": self.control.stats.hot_swaps,
+            "rollbacks": self.control.stats.rollbacks,
             "requests": total_requests,
             "span_seconds": span,
             "throughput_pages_per_s": round(
@@ -471,7 +365,7 @@ class ServingGateway:
         result carrying ``RejectedError("overload")``, exactly like an
         admission-bound rejection one rung further in.
         """
-        request = self._normalize(request)
+        request = ServingRequest.of(request)
         return self._submit_to(self.shard_of(request), request)
 
     def _submit_to(self, index: int, request: ServingRequest) -> "Future":
@@ -542,12 +436,7 @@ class ServingGateway:
         """
         futures = [self.submit(request) for request in requests]
         results = self._gather(futures, timeout)
-        if strict:
-            for result in results:
-                if result.error is not None:
-                    raise result.error
-            return [result.answer for result in results]
-        return results
+        return _answers(results) if strict else results
 
     def ask_corpus(
         self,
@@ -604,12 +493,7 @@ class ServingGateway:
             asyncio.wrap_future(self.submit(request)) for request in requests
         ]
         results = list(await asyncio.gather(*futures))
-        if strict:
-            for result in results:
-                if result.error is not None:
-                    raise result.error
-            return [result.answer for result in results]
-        return results
+        return _answers(results) if strict else results
 
     async def ask_async(
         self,
@@ -624,16 +508,6 @@ class ServingGateway:
         return answer
 
     # -- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _normalize(request: "ServingRequest | tuple") -> ServingRequest:
-        if isinstance(request, ServingRequest):
-            return request
-        return ServingRequest(
-            route=request[0],
-            html=request[1],
-            url=request[2] if len(request) > 2 else "",
-        )
 
     def _gather(
         self, futures: "list[Future]", timeout: "float | None"

@@ -2,8 +2,10 @@
 
 A serving deployment outlives its corpus: pages change, pages vanish.
 This module closes the loop between the generational
-:mod:`~repro.webtree.store` and the versioned routing table of
-:class:`~repro.serving.service.QAService`:
+:mod:`~repro.webtree.store` and the versioned routing table of a
+:class:`~repro.serving.service.QAService` or
+:class:`~repro.serving.gateway.ServingGateway` (whose shards share one
+routing table, so a sharded feed swaps exactly once):
 
 1. **Publish.**  ``feed(html, url)`` re-ingests the changed raw HTML
    through the exact pipeline serving uses, stages it into the next
@@ -27,7 +29,7 @@ This module closes the loop between the generational
    tool keeps answering on the old version throughout.
 4. **Hot-swap or roll back.**  A candidate that fit cleanly, completed
    within its synthesis deadline, and did not regress held-out F1 is
-   swapped in under the service's epoch/refcount protocol (in-flight
+   swapped in under the route's epoch/refcount protocol (in-flight
    queries drain on the version they pinned; zero drops).  Otherwise
    the route *keeps the old version* — rollback here is abstention,
    which is trivially crash-safe: there is no window where a bad
@@ -45,6 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from ..core.errors import IngestError
 from ..core.webqa import WebQA
@@ -54,6 +57,11 @@ from ..synthesis.session import SynthesisSession
 from ..webtree.node import WebPage
 from ..webtree.store import CorpusStoreUpdater
 from .ingest import ingest_page, page_fingerprint
+
+if TYPE_CHECKING:
+    from .faults import FaultInjector
+    from .gateway import ServingGateway
+    from .service import QAService
 
 
 @dataclass(frozen=True)
@@ -137,29 +145,29 @@ class LiveCorpus:
     """The feed API: corpus updates in, verified hot-swaps out.
 
     Construct over a running :class:`~repro.serving.service.QAService`
-    (the instance attaches itself, enabling ``service.feed(...)``) and
-    optionally a store path; then :meth:`track` the routes whose tasks
-    should refit when their pages change.
+    or :class:`~repro.serving.gateway.ServingGateway` (the front end
+    attaches itself, enabling ``service.feed(...)``) and optionally a
+    store path; then :meth:`track` the routes whose tasks should refit
+    when their pages change.
 
     Thread-safety: feeds are serialized by an internal lock (the store
     updater is single-writer by design); queries never block on a feed
-    — the service's routing table swaps atomically under its own locks.
+    — the front end's one route table swaps atomically under its locks.
     ``wait=False`` moves the refit+swap stage to a background thread;
     :meth:`drain` joins all pending refits and returns their swaps.
     """
 
     def __init__(
         self,
-        service: "object",
+        service: "QAService | ServingGateway",
         store_path: "str | None" = None,
-        injector: "object | None" = None,
+        injector: "FaultInjector | None" = None,
     ) -> None:
         self.service = service
-        store = getattr(service, "store", None)
+        store = service.store
         self.store_path = store_path or (store.path if store is not None else None)
         self._injector = (
-            injector if injector is not None
-            else getattr(service, "_injector", None)
+            injector if injector is not None else service.control.injector
         )
         self._lock = threading.RLock()
         self._routes: "dict[str, _TrackedRoute]" = {}
@@ -249,20 +257,15 @@ class LiveCorpus:
                 )
             # Parse outside the cache: the superseded entry must stay
             # live for in-flight queries until the publish succeeds.
-            outcome = ingest_page(
-                html, url, limits=getattr(self.service, "limits", None)
-            )
+            outcome = ingest_page(html, url, limits=self.service.limits)
             generation = self._publish(
                 feed_index, new_fingerprint, outcome.page, outcome.degraded,
                 removals=(previous,) if previous else (),
             )
             # -- publish succeeded; in-memory effects are now safe -----
-            invalidated = False
-            cache = getattr(self.service, "cache", None)
-            if previous and cache is not None:
-                invalidated = cache.invalidate(previous)
-            if cache is not None:
-                cache.put(new_fingerprint, outcome.page, outcome.degraded)
+            cache = self.service.cache
+            invalidated = bool(previous) and cache.invalidate(previous)
+            cache.put(new_fingerprint, outcome.page, outcome.degraded)
             self._urls[url] = new_fingerprint
             affected = [
                 tracked for tracked in self._routes.values()
@@ -270,29 +273,12 @@ class LiveCorpus:
             ]
             for tracked in affected:
                 self._replace_page(tracked, url, outcome.page, gold)
-            if wait or not affected:
-                swaps = tuple(
-                    self._refit_route(tracked, feed_index)
-                    for tracked in affected
-                )
-                return FeedReport(
-                    url=url, fingerprint=new_fingerprint,
-                    previous_fingerprint=previous, generation=generation,
-                    invalidated=invalidated, unchanged=False, swaps=swaps,
-                )
-            thread = threading.Thread(
-                target=self._refit_background,
-                args=([tracked.route for tracked in affected], feed_index),
-                name=f"live-refit-{feed_index}",
-                daemon=True,
-            )
-            self._pending.append(thread)
-            thread.start()
+            swaps, pending = self._refit(affected, feed_index, wait)
             return FeedReport(
                 url=url, fingerprint=new_fingerprint,
                 previous_fingerprint=previous, generation=generation,
-                invalidated=invalidated, unchanged=False,
-                pending_routes=tuple(t.route for t in affected),
+                invalidated=invalidated, unchanged=False, swaps=swaps,
+                pending_routes=pending,
             )
 
     def remove(self, url: str, *, wait: bool = True) -> FeedReport:
@@ -324,10 +310,7 @@ class LiveCorpus:
             generation = self._publish(
                 feed_index, "", None, False, removals=(previous,)
             )
-            cache = getattr(self.service, "cache", None)
-            invalidated = bool(
-                cache.invalidate(previous) if cache is not None else False
-            )
+            invalidated = self.service.cache.invalidate(previous)
             del self._urls[url]
             affected = []
             for tracked in self._routes.values():
@@ -344,26 +327,11 @@ class LiveCorpus:
                     touched = True
                 if touched:
                     affected.append(tracked)
-            swaps = tuple(
-                self._refit_route(tracked, feed_index)
-                for tracked in (affected if wait else ())
-            )
-            if not wait and affected:
-                thread = threading.Thread(
-                    target=self._refit_background,
-                    args=([t.route for t in affected], feed_index),
-                    name=f"live-refit-{feed_index}",
-                    daemon=True,
-                )
-                self._pending.append(thread)
-                thread.start()
+            swaps, pending = self._refit(affected, feed_index, wait)
             return FeedReport(
                 url=url, fingerprint="", previous_fingerprint=previous,
                 generation=generation, invalidated=invalidated,
-                unchanged=False, swaps=swaps,
-                pending_routes=tuple(
-                    t.route for t in (affected if not wait else ())
-                ),
+                unchanged=False, swaps=swaps, pending_routes=pending,
             )
 
     def drain(self) -> "list[RouteSwap]":
@@ -389,15 +357,14 @@ class LiveCorpus:
             if self.store_path is None:
                 raise ValueError("no store attached to compact")
             report = compact_store(self.store_path)
-            store = getattr(self.service, "store", None)
-            if store is not None:
-                store.reload()
+            if self.service.store is not None:
+                self.service.store.reload()
             return report
 
     # -- internals -----------------------------------------------------------
 
     def _generation(self) -> int:
-        store = getattr(self.service, "store", None)
+        store = self.service.store
         return store.generation if store is not None else -1
 
     def _publish(
@@ -439,9 +406,8 @@ class LiveCorpus:
             # disk for GC, exactly as a real crash would leave them.
             updater.abort()
             raise
-        store = getattr(self.service, "store", None)
-        if store is not None:
-            store.reload()
+        if self.service.store is not None:
+            self.service.store.reload()
         return generation
 
     def _replace_page(
@@ -517,7 +483,7 @@ class LiveCorpus:
             if holdout_f1 < incumbent_f1 - tracked.f1_tolerance:
                 reason = "holdout-regression"
         if reason:
-            service.stats.record_rollback()
+            service.control.stats.record_rollback()
             return RouteSwap(
                 route=route, swapped=False, version=old_version,
                 previous_version=old_version, reason=reason,
@@ -532,6 +498,24 @@ class LiveCorpus:
             previous_version=old_version, reason="",
             refit_seconds=elapsed, holdout_f1=holdout_f1,
         )
+
+    def _refit(
+        self, affected: "list[_TrackedRoute]", feed_index: int, wait: bool
+    ) -> "tuple[tuple[RouteSwap, ...], tuple[str, ...]]":
+        """Refit ``affected`` now, or on a background thread unless
+        ``wait``; returns ``(swaps, pending_routes)`` for the report."""
+        if wait or not affected:
+            return tuple(self._refit_route(t, feed_index) for t in affected), ()
+        routes = [tracked.route for tracked in affected]
+        thread = threading.Thread(
+            target=self._refit_background,
+            args=(routes, feed_index),
+            name=f"live-refit-{feed_index}",
+            daemon=True,
+        )
+        self._pending.append(thread)
+        thread.start()
+        return (), tuple(routes)
 
     def _refit_background(
         self, routes: "list[str]", feed_index: int

@@ -12,7 +12,10 @@ once.  One :class:`QAService` owns
   tool atomically while in-flight requests drain on the version they
   pinned, and :meth:`QAService.rollback` restores the previous version
   the same way — the backbone of live-corpus refits
-  (:mod:`repro.serving.live`);
+  (:mod:`repro.serving.live`).  The table lives on a
+  :class:`_ControlPlane` that :meth:`QAService.replica` shares, so the
+  shards of a :class:`~repro.serving.gateway.ServingGateway` serve one
+  table rather than N copies of it;
 * the **ingestion pipeline** — one shared
   :class:`~repro.serving.ingest.PageCache`, so every route benefits from
   every other route's parsed pages;
@@ -68,6 +71,7 @@ model is tested against (``tests/serving/test_faults.py``).
 
 from __future__ import annotations
 
+import copy
 import os
 import random
 import threading
@@ -75,6 +79,7 @@ import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..core.artifact import ProgramArtifact
 from ..core.errors import (
@@ -123,6 +128,17 @@ class ServingRequest:
     def __post_init__(self) -> None:
         if (self.html is None) == (self.page is None):
             raise ValueError("exactly one of html/page must be provided")
+
+    @classmethod
+    def of(cls, request: "ServingRequest | tuple") -> "ServingRequest":
+        """Accept a request or a ``(route, html[, url])`` tuple."""
+        if isinstance(request, cls):
+            return request
+        return cls(
+            route=request[0],
+            html=request[1],
+            url=request[2] if len(request) > 2 else "",
+        )
 
 
 @dataclass
@@ -324,6 +340,8 @@ class ServiceStats:
     #: Broken worker pools discarded and rebuilt (mirrors the runner).
     pools_broken: int = 0
     #: Live-route tool hot-swaps (re-register / live-corpus refit).
+    #: This and ``rollbacks`` count route-table events, so only the
+    #: service that owns the control plane records them, never a replica.
     hot_swaps: int = 0
     #: Refit outcomes rejected in favour of the serving version
     #: (failure, deadline, held-out regression) plus explicit rollbacks.
@@ -575,7 +593,191 @@ def _predict_page(payload: tuple) -> "tuple[tuple[str, ...], bool]":
         return tool.predict_interpreted(page), True
 
 
-class QAService:
+class _ControlPlane:
+    """The state every shard of one front end shares, held exactly once.
+
+    A standalone :class:`QAService` owns one; the N shards of a
+    :class:`~repro.serving.gateway.ServingGateway` share one
+    (:meth:`QAService.replica`).  It holds the route table — one
+    :class:`_RouteState` per route, so a register or rollback is a
+    single atomic transition however many shards serve the route, and
+    one circuit breaker counts failures wherever they land — plus the
+    attached live corpus, the fault injector and the lazily opened
+    corpus index with its scan-IDF cache.  What sharding partitions
+    (page cache, worker pool, request counters, admission) stays on
+    each shard.
+    """
+
+    def __init__(
+        self,
+        stats: ServiceStats,
+        injector: "FaultInjector | None",
+        new_breaker,
+    ) -> None:
+        #: The owning service's stats: hot-swaps and rollbacks are
+        #: route-table events, counted here once for every shard.
+        self.stats = stats
+        self.injector = injector
+        self.new_breaker = new_breaker
+        self.routes: dict[str, _RouteState] = {}
+        self.live: "object | None" = None
+        self.corpus_index: "CorpusIndexReader | None" = None
+        self.scan_idf_cache: "tuple[int, IdfModel] | None" = None
+        #: Serializes route-table mutation and the index's lazy open.
+        #: Reentrant: a failed lookup under it lists the routes.
+        self.lock = threading.RLock()
+
+
+class _RouteControl:
+    """The control-plane API both front ends expose over ``self.control``.
+
+    :class:`QAService` and :class:`~repro.serving.gateway.ServingGateway`
+    inherit these operations unchanged: each is one call on the shared
+    :class:`_ControlPlane`, so a gateway never loops over its shards to
+    keep them in step — there is nothing per shard to keep in step.
+    """
+
+    control: _ControlPlane
+
+    def register(
+        self,
+        route: str,
+        source: "WebQA | ProgramArtifact | str",
+        version: "str | None" = None,
+    ) -> WebQA:
+        """Bind ``route`` to an artifact (object or path) or a fitted tool.
+
+        Artifacts are loaded through :meth:`WebQA.from_artifact` (no
+        synthesis); an already-constructed tool must be serving-capable,
+        otherwise :class:`NotFittedError` surfaces immediately at
+        registration instead of on the first request.
+
+        Re-registering a live route is an atomic **hot-swap**: requests
+        already in flight drain on the version they pinned, new requests
+        see the new tool, and the route's circuit breaker state and
+        request counters carry over untouched.  ``version`` defaults to
+        the artifact's sha256 ``fingerprint()`` when the source carries
+        one ("" otherwise); live-corpus refits always pass it.
+        """
+        if isinstance(source, WebQA):
+            tool = source
+            if tool._compiled is None or tool._contexts is None:
+                raise NotFittedError(f"registering route {route!r}")
+        else:
+            tool = WebQA.from_artifact(source)
+        if version is None:
+            version = (
+                tool.artifact.fingerprint() if tool.artifact is not None else ""
+            )
+        control = self.control
+        with control.lock:
+            state = control.routes.get(route)
+            if state is None:
+                control.routes[route] = _RouteState(
+                    tool, version, control.new_breaker()
+                )
+                control.stats.requests_by_route.setdefault(route, 0)
+                return tool
+            state.swap(tool, version)
+        control.stats.record_swap()
+        return tool
+
+    def unregister(self, route: str) -> None:
+        with self.control.lock:
+            self._state(route)
+            del self.control.routes[route]
+
+    def routes(self) -> tuple[str, ...]:
+        with self.control.lock:
+            return tuple(sorted(self.control.routes))
+
+    def _state(self, route: str) -> _RouteState:
+        state = self.control.routes.get(route)
+        if state is None:
+            raise RouteError(
+                f"unknown route {route!r}; registered: {self.routes()}",
+                route=route,
+            )
+        return state
+
+    def tool(self, route: str) -> WebQA:
+        return self._state(route).current.tool
+
+    def breaker(self, route: str) -> CircuitBreaker:
+        """The circuit breaker guarding ``route`` (KeyError if unknown)."""
+        return self.control.routes[route].breaker
+
+    def rollback(self, route: str) -> str:
+        """Restore ``route``'s previously served version; returns its id.
+
+        The counterpart of a hot-swap gone wrong after publication —
+        the previous ``(tool, version)`` is re-installed under a fresh
+        epoch (in-flight requests on the bad version drain, exactly as
+        in a forward swap).  :class:`RouteError` when the route is
+        unknown or has never swapped.
+        """
+        restored = self._state(route).rollback()
+        if restored is None:
+            raise RouteError(
+                f"route {route!r} has no previous version to roll back to",
+                route=route,
+            )
+        self.control.stats.record_rollback()
+        return restored.version
+
+    def route_version(self, route: str) -> str:
+        """The version id currently served for ``route``."""
+        return self._state(route).current.version
+
+    def route_epoch(self, route: str) -> int:
+        """How many swaps/rollbacks ``route`` has seen (0 = original)."""
+        return self._state(route).epoch
+
+    def route_drained(self, route: str) -> bool:
+        """True when no retired version of ``route`` still serves a call."""
+        return self._state(route).drained()
+
+    def inject_faults(
+        self, injector: "FaultInjector | FaultPlan | None"
+    ) -> None:
+        """Swap the fault injector at runtime (``None`` turns chaos off).
+
+        Chaos tests use this to model an outage ending — e.g. to let a
+        half-open circuit's probe succeed after a run of injected
+        failures opened it.
+        """
+        if isinstance(injector, FaultPlan):
+            injector = FaultInjector(injector)
+        self.control.injector = injector
+
+    # -- live corpus --------------------------------------------------------------
+
+    def attach_live(self, live: "object") -> None:
+        """Attach a :class:`~repro.serving.live.LiveCorpus`; done by its
+        constructor — :meth:`feed` delegates to it."""
+        self.control.live = live
+
+    @property
+    def live(self) -> "object | None":
+        return self.control.live
+
+    def feed(self, html: str, url: str = "", **kwargs):
+        """Feed one changed raw document into the attached live corpus.
+
+        Convenience front for :meth:`LiveCorpus.feed` (ingest →
+        invalidate → corpus generation → warm refit → hot-swap/rollback);
+        requires a :class:`~repro.serving.live.LiveCorpus` constructed
+        over this front end.
+        """
+        if self.control.live is None:
+            raise ValueError(
+                "no live corpus attached; construct "
+                "repro.serving.live.LiveCorpus(...) over this front end first"
+            )
+        return self.control.live.feed(html, url=url, **kwargs)
+
+
+class QAService(_RouteControl):
     """Serve many program artifacts behind routing keys.
 
     Parameters
@@ -643,36 +845,56 @@ class QAService:
         self.jobs = jobs
         self.backend = backend
         self.max_batch = max_batch
-        self.cache = PageCache(capacity=page_cache_size)
-        self.stats = ServiceStats()
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.deadline_seconds = deadline_seconds
         self.max_inflight = max_inflight
         self.limits = limits
-        self.circuit_threshold = circuit_threshold
-        self.circuit_reset_seconds = circuit_reset_seconds
+        self._open_shard(page_cache_size)
         if isinstance(fault_injector, FaultPlan):
             fault_injector = FaultInjector(fault_injector)
-        self._injector = fault_injector
-        self._clock = clock
-        self._routes: dict[str, _RouteState] = {}
-        self._live: "object | None" = None
+        # Routes, live corpus, injector and the corpus index (which opens
+        # lazily on the first ask_corpus and follows the store's
+        # generation from then on): shared with every replica.
+        self.control = _ControlPlane(
+            self.stats,
+            fault_injector,
+            partial(
+                CircuitBreaker,
+                threshold=circuit_threshold,
+                reset_seconds=circuit_reset_seconds,
+                clock=clock,
+            ),
+        )
+
+    def _open_shard(self, page_cache_size: int) -> None:
+        """The per-shard data plane: cache, stats, admission, pool."""
+        self.cache = PageCache(capacity=page_cache_size)
+        self.stats = ServiceStats()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        # Corpus routing state: the inverted-index reader opens lazily on
-        # the first ask_corpus and follows the store's generation from
-        # then on (CorpusIndexReader.ensure_fresh).
-        self._corpus_index: "CorpusIndexReader | None" = None
-        self._corpus_index_lock = threading.Lock()
-        self._scan_idf_cache: "tuple[int, IdfModel] | None" = None
         # One long-lived pool for every micro-batch: a service dispatches
         # many small batches, and per-batch pool construction (worker
         # spawn, tool re-pickling on the process backend) would dominate.
-        self._runner = TaskRunner(jobs=jobs, backend=backend, persistent=True)
+        self._runner = TaskRunner(
+            jobs=self.jobs, backend=self.backend, persistent=True
+        )
         # Spawn the workers now, at startup, not lazily inside the first
         # batch — first-request latency should not pay for OS thread
         # (or process) creation.
         self._runner.prewarm()
+
+    def replica(self) -> "QAService":
+        """Another shard engine over this service's control plane.
+
+        The replica has the same configuration and shares the store,
+        the route table, live corpus, fault injector and corpus index;
+        it gets its own page cache, worker pool, stats and admission
+        count.  A register, rollback or fault swap on either is seen by
+        both at once.
+        """
+        twin = copy.copy(self)
+        twin._open_shard(self.cache.capacity)
+        return twin
 
     def close(self) -> None:
         """Shut down the service's worker pool (idempotent)."""
@@ -683,131 +905,6 @@ class QAService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # -- routing table -----------------------------------------------------------
-
-    def register(
-        self,
-        route: str,
-        source: "WebQA | ProgramArtifact | str",
-        version: "str | None" = None,
-    ) -> WebQA:
-        """Bind ``route`` to an artifact (object or path) or a fitted tool.
-
-        Artifacts are loaded through :meth:`WebQA.from_artifact` (no
-        synthesis); an already-constructed tool must be serving-capable,
-        otherwise :class:`NotFittedError` surfaces immediately at
-        registration instead of on the first request.
-
-        Re-registering a live route is an atomic **hot-swap**: requests
-        already in flight drain on the version they pinned, new requests
-        see the new tool, and the route's circuit breaker state and
-        request counters carry over untouched.  ``version`` defaults to
-        the artifact's sha256 ``fingerprint()`` when the source carries
-        one ("" otherwise); live-corpus refits always pass it.
-        """
-        if isinstance(source, WebQA):
-            tool = source
-            if tool._compiled is None or tool._contexts is None:
-                raise NotFittedError(f"registering route {route!r}")
-        else:
-            tool = WebQA.from_artifact(source)
-        if version is None:
-            version = (
-                tool.artifact.fingerprint() if tool.artifact is not None else ""
-            )
-        state = self._routes.get(route)
-        if state is None:
-            breaker = CircuitBreaker(
-                threshold=self.circuit_threshold,
-                reset_seconds=self.circuit_reset_seconds,
-                clock=self._clock,
-            )
-            self._routes[route] = _RouteState(tool, version, breaker)
-            self.stats.requests_by_route.setdefault(route, 0)
-        else:
-            state.swap(tool, version)
-            self.stats.record_swap()
-        return tool
-
-    def unregister(self, route: str) -> None:
-        del self._routes[route]
-
-    def routes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._routes))
-
-    def _state(self, route: str) -> _RouteState:
-        state = self._routes.get(route)
-        if state is None:
-            raise RouteError(
-                f"unknown route {route!r}; registered: {self.routes()}",
-                route=route,
-            )
-        return state
-
-    def tool(self, route: str) -> WebQA:
-        return self._state(route).current.tool
-
-    def breaker(self, route: str) -> CircuitBreaker:
-        """The circuit breaker guarding ``route`` (KeyError if unknown)."""
-        return self._routes[route].breaker
-
-    def rollback(self, route: str) -> str:
-        """Restore ``route``'s previously served version; returns its id.
-
-        The counterpart of a hot-swap gone wrong after publication —
-        the previous ``(tool, version)`` is re-installed under a fresh
-        epoch (in-flight requests on the bad version drain, exactly as
-        in a forward swap).  :class:`RouteError` when the route is
-        unknown or has never swapped.
-        """
-        state = self._state(route)
-        restored = state.rollback()
-        if restored is None:
-            raise RouteError(
-                f"route {route!r} has no previous version to roll back to",
-                route=route,
-            )
-        self.stats.record_rollback()
-        return restored.version
-
-    def route_version(self, route: str) -> str:
-        """The version id currently served for ``route``."""
-        return self._state(route).current.version
-
-    def route_epoch(self, route: str) -> int:
-        """How many swaps/rollbacks ``route`` has seen (0 = original)."""
-        return self._state(route).epoch
-
-    def route_drained(self, route: str) -> bool:
-        """True when no retired version of ``route`` still serves a call."""
-        return self._state(route).drained()
-
-    # -- live corpus --------------------------------------------------------------
-
-    def attach_live(self, live: "object") -> None:
-        """Attach a :class:`~repro.serving.live.LiveCorpus`; done by its
-        constructor — :meth:`feed` delegates to it."""
-        self._live = live
-
-    @property
-    def live(self) -> "object | None":
-        return self._live
-
-    def feed(self, html: str, url: str = "", **kwargs):
-        """Feed one changed raw document into the attached live corpus.
-
-        Convenience front for :meth:`LiveCorpus.feed` (ingest →
-        invalidate → corpus generation → warm refit → hot-swap/rollback);
-        requires a :class:`~repro.serving.live.LiveCorpus` constructed
-        over this service.
-        """
-        if self._live is None:
-            raise ValueError(
-                "no live corpus attached; construct "
-                "repro.serving.live.LiveCorpus(service, ...) first"
-            )
-        return self._live.feed(html, url=url, **kwargs)
 
     # -- corpus routing (ask the corpus, not a page) -------------------------------
 
@@ -824,12 +921,13 @@ class QAService:
             if required:
                 raise IngestError(_NO_STORE)
             return None
-        with self._corpus_index_lock:
-            if self._corpus_index is None:
+        control = self.control
+        with control.lock:
+            if control.corpus_index is None:
                 if not required and read_manifest(self.store.path).index is None:
                     return None
-                self._corpus_index = CorpusIndexReader(self.store.path)
-            return self._corpus_index
+                control.corpus_index = CorpusIndexReader(self.store.path)
+            return control.corpus_index
 
     def _corpus_scan_idf(self, store: "CorpusStoreReader") -> IdfModel:
         """The exhaustive scan's IdfModel: the index's own, or corpus-fit.
@@ -847,14 +945,14 @@ class QAService:
         index = self.corpus_index(required=False)
         if index is not None:
             return index.ensure_fresh(store).idf()
-        cached = self._scan_idf_cache
+        cached = self.control.scan_idf_cache
         if cached is not None and cached[0] == store.generation:
             return cached[1]
         idf = IdfModel.fit(
             page_text(store.load(fingerprint)[0])
             for fingerprint in sorted(store.fingerprints())
         )
-        self._scan_idf_cache = (store.generation, idf)
+        self.control.scan_idf_cache = (store.generation, idf)
         return idf
 
     def ask_corpus(
@@ -949,26 +1047,14 @@ class QAService:
             url_of=lambda fp: (store.entry(fp) or {}).get("url") or None,
         )
 
-    def inject_faults(
-        self, injector: "FaultInjector | FaultPlan | None"
-    ) -> None:
-        """Swap the fault injector at runtime (``None`` turns chaos off).
-
-        Chaos tests use this to model an outage ending — e.g. to let a
-        half-open circuit's probe succeed after a run of injected
-        failures opened it.
-        """
-        if isinstance(injector, FaultPlan):
-            injector = FaultInjector(injector)
-        self._injector = injector
-
     def health(self) -> dict:
         """One operator-facing snapshot of the service's state."""
         with self._inflight_lock:
             inflight = self._inflight
-        states = sorted(self._routes.items())
+        with self.control.lock:
+            states = sorted(self.control.routes.items())
         return {
-            "routes": list(self.routes()),
+            "routes": [route for route, _ in states],
             "inflight": inflight,
             "max_inflight": self.max_inflight,
             "pools_broken": self._runner.pools_broken,
@@ -1058,16 +1144,7 @@ class QAService:
         Tuples ``(route, html)`` / ``(route, html, url)`` are accepted as
         a convenience and normalized to :class:`ServingRequest`.
         """
-        normalized = [
-            request
-            if isinstance(request, ServingRequest)
-            else ServingRequest(
-                route=request[0],
-                html=request[1],
-                url=request[2] if len(request) > 2 else "",
-            )
-            for request in requests
-        ]
+        normalized = [ServingRequest.of(request) for request in requests]
         if deadline_seconds is None:
             deadline_seconds = self.deadline_seconds
         deadline = _Deadline(deadline_seconds)
@@ -1147,7 +1224,7 @@ class QAService:
                 if results[position].error is not None:
                     continue
                 route = normalized[position].route
-                state = self._routes.get(route)
+                state = self.control.routes.get(route)
                 if state is None:
                     error = RouteError(
                         f"unknown route {route!r}; registered: {self.routes()}",
@@ -1244,8 +1321,9 @@ class QAService:
                     elapsed_seconds=deadline.elapsed(),
                 )
             try:
-                if self._injector is not None:
-                    self._injector.before_ingest(index, attempt)
+                injector = self.control.injector
+                if injector is not None:
+                    injector.before_ingest(index, attempt)
                 if request.page is not None:
                     outcome = IngestOutcome(
                         request.page, "", degraded=False, cache_hit=False
@@ -1293,7 +1371,7 @@ class QAService:
                     pages[position],
                     position,
                     attempts[position],
-                    self._injector,
+                    self.control.injector,
                     allow_exit,
                 )
                 for position in pending

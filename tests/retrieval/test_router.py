@@ -136,10 +136,18 @@ def test_scoring_layer_differential(scoring_rig, data):
     assert reader.route(query, top_k) == cut_top_k(scanned, top_k)
 
 
-def test_gateway_matches_single_service(rig, tmp_path):
+def test_gateway_matches_single_service(rig):
     """The sharded entry point returns the service's exact CorpusAnswer."""
+    _assert_gateway_matches_service(rig, shards=2)
+
+
+def test_one_shard_gateway_matches_single_service(rig):
+    _assert_gateway_matches_service(rig, shards=1)
+
+
+def _assert_gateway_matches_service(rig, shards):
     service, path = rig
-    with ServingGateway(shards=2, store=path) as gateway:
+    with ServingGateway(shards=shards, store=path) as gateway:
         for task_id in ("fac_t1", "clinic_t5"):
             gateway.register(task_id, service.tool(task_id))
             via_gateway, was_routed = _strip_routed(

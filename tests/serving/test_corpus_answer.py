@@ -47,7 +47,7 @@ def tools():
     return fitted
 
 
-@pytest.fixture(params=["service", "gateway"])
+@pytest.fixture(params=["service", "gateway", "gateway-1shard"])
 def front(request, tmp_path, tools):
     path = str(tmp_path / "corpus.rpw")
     build_dataset_store(path, pages_per_domain=6)
@@ -55,7 +55,8 @@ def front(request, tmp_path, tools):
     if request.param == "service":
         front = QAService(jobs=1, store=path)
     else:
-        front = ServingGateway(shards=2, store=path)
+        shards = 1 if request.param == "gateway-1shard" else 2
+        front = ServingGateway(shards=shards, store=path)
     for route, tool in tools.items():
         front.register(route, tool)
     LiveCorpus(front)

@@ -6,11 +6,12 @@ to sequential ``tool.predict`` over the same requests, on all 25 dataset
 tasks — sharding, queueing and micro-batching are throughput mechanics,
 never semantics.  The rest pins the backpressure ladder (deterministic
 shedding at the queue bound), crash recovery through the pool-rebuild
-path, and control-plane fan-out (hot-swap / feed / rollback) under
-sustained concurrent load.
+path, and the one control plane every shard shares (hot-swap / feed /
+rollback / circuit breaker) under sustained concurrent load.
 """
 
 import asyncio
+import sys
 import threading
 
 import pytest
@@ -24,11 +25,11 @@ from repro.dataset.corpus import (
 )
 from repro.dataset.tasks import TASKS, TASKS_BY_ID
 from repro.nlp.models import NlpModels
-from repro.serving.faults import FaultPlan
+from repro.serving.faults import ALWAYS, FaultPlan
 from repro.serving.gateway import ServingGateway
 from repro.serving.ingest import ingest_html, ingest_page
 from repro.serving.live import LiveCorpus
-from repro.serving.service import ServingRequest
+from repro.serving.service import NO_RETRY, ServingRequest, _RouteState
 from repro.synthesis.config import default_config
 from repro.synthesis.examples import LabeledExample
 from repro.synthesis.session import SynthesisSession
@@ -371,11 +372,11 @@ class TestHotSwapUnderLoad:
             for thread in threads:
                 thread.join()
             assert not failures
-            # Every shard converged on the last version, every retired
+            # Every shard serves the last version, every retired
             # version drained on every shard.
-            assert gateway.route_versions("fac_t1") == ["v30"] * 3
+            assert gateway.route_version("fac_t1") == "v30"
             assert gateway.route_drained("fac_t1")
-            assert gateway.stats.hot_swaps == 30
+            assert gateway.health()["hot_swaps"] == 30
 
     def test_rollback_fans_out_to_all_shards(self, fitted):
         tool, dataset = fitted
@@ -383,10 +384,121 @@ class TestHotSwapUnderLoad:
             gateway.register("fac_t1", tool, version="v1")
             gateway.register("fac_t1", tool, version="v2")
             assert gateway.rollback("fac_t1") == "v1"
-            assert gateway.route_versions("fac_t1") == ["v1"] * 3
-            assert gateway.stats.rollbacks == 1
+            assert [
+                gateway.shard(i).route_version("fac_t1") for i in range(3)
+            ] == ["v1"] * 3
+            assert gateway.health()["rollbacks"] == 1
             want = tool.predict(dataset.test_pages[0])
             assert gateway.ask("fac_t1", page=dataset.test_pages[0]) == want
+
+
+class TestSharedControlPlane:
+    """One route table for every shard: transitions happen once."""
+
+    @pytest.fixture
+    def transitions(self, monkeypatch):
+        counts = {"swap": 0, "rollback": 0}
+        for name in counts:
+            original = getattr(_RouteState, name)
+
+            def counted(state, *args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(state, *args)
+
+            monkeypatch.setattr(_RouteState, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_register_and_rollback_are_one_transition(
+        self, fitted, transitions, shards
+    ):
+        tool, _ = fitted
+        with ServingGateway(shards=shards) as gateway:
+            gateway.register("fac_t1", tool, version="v1")
+            gateway.register("fac_t1", tool, version="v2")
+            assert transitions == {"swap": 1, "rollback": 0}
+            assert gateway.rollback("fac_t1") == "v1"
+            assert transitions == {"swap": 1, "rollback": 1}
+
+    def test_register_rollback_storm_cannot_diverge_shards(
+        self, fitted, transitions
+    ):
+        # An operator rollback racing refit registers: each call is one
+        # transition on the shared table, so no interleaving can leave
+        # two shards on different versions.
+        tool, dataset = fitted
+        requests = [
+            ServingRequest(route="fac_t1", page=page)
+            for page in dataset.test_pages
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingGateway(shards=3) as gateway:
+                gateway.register("fac_t1", tool, version="a0")
+                gateway.register("fac_t1", tool, version="a1")
+                stop = threading.Event()
+                failures: list[object] = []
+
+                def asker():
+                    while not stop.is_set():
+                        results = gateway.ask_many(requests, strict=False)
+                        failures.extend(r for r in results if not r.ok)
+
+                def registers():
+                    for index in range(2, 22):
+                        gateway.register("fac_t1", tool, version=f"a{index}")
+
+                def rollbacks():
+                    for _ in range(20):
+                        gateway.rollback("fac_t1")
+
+                threads = [
+                    threading.Thread(target=target)
+                    for target in (asker, registers, rollbacks)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads[1:]:
+                    thread.join(timeout=60)
+                stop.set()
+                threads[0].join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                version = gateway.route_version("fac_t1")
+                assert [
+                    gateway.shard(i).route_version("fac_t1") for i in range(3)
+                ] == [version] * 3
+                assert gateway.route_drained("fac_t1")
+                assert not failures
+        finally:
+            sys.setswitchinterval(interval)
+        assert transitions == {"swap": 21, "rollback": 20}
+
+    def test_one_circuit_breaker_across_shards(self, fitted):
+        tool, dataset = fitted
+        plan = FaultPlan(predict_faults={i: ALWAYS for i in range(64)})
+        with ServingGateway(
+            shards=2,
+            circuit_threshold=3,
+            circuit_reset_seconds=3600.0,
+            retry_policy=NO_RETRY,
+            fault_injector=plan,
+        ) as gateway:
+            gateway.register("fac_t1", tool)
+            homed: dict[int, ServingRequest] = {}
+            for index, page in enumerate(dataset.test_pages * 4):
+                request = ServingRequest(
+                    route="fac_t1", html=page_to_html(page),
+                    url=f"{page.url}#{index}",
+                )
+                homed.setdefault(gateway.shard_of(request), request)
+            for _ in range(3):
+                (result,) = gateway.ask_many([homed[0]], strict=False)
+                assert result.error.stage == "predict"
+            (result,) = gateway.ask_many([homed[1]], strict=False)
+            assert isinstance(result.error, RejectedError)
+            assert result.error.reason == "circuit-open"
+            assert gateway.health()["circuits"] == {"fac_t1": "open"}
 
 
 class TestLiveFeedUnderLoad:
@@ -470,12 +582,10 @@ class TestLiveFeedUnderLoad:
             assert not failures
             assert not report.unchanged
             assert report.generation == 1
-            # All shards serve the same post-feed version.
-            versions = gateway.route_versions(task.task_id)
-            assert len(set(versions)) == 1
+            # All shards serve the one post-feed version.
             (swap,) = report.swaps
             if swap.swapped:
-                assert versions[0] == swap.version
+                assert gateway.route_version(task.task_id) == swap.version
             # The fed page itself now answers through the new content
             # on whichever shard owns it.
             new_tool = gateway.tool(task.task_id)
@@ -486,7 +596,7 @@ class TestLiveFeedUnderLoad:
                 task.task_id, html=changed.html, url=victim.page.url
             )
             assert got == want
-            assert gateway.stats.hot_swaps >= int(swap.swapped)
+            assert gateway.health()["hot_swaps"] == int(swap.swapped)
 
 
 class TestHealthSurface:
@@ -505,8 +615,8 @@ class TestHealthSurface:
         assert health["queue_depths"] == [0, 0]
         assert health["inflight"] == [0, 0]
         assert health["pools_broken"] == [0, 0]
-        assert health["circuits"]["fac_t1"] == ["closed", "closed"]
-        assert health["versions"]["fac_t1"] == ["v1", "v1"]
+        assert health["circuits"] == {"fac_t1": "closed"}
+        assert health["versions"] == {"fac_t1": "v1"}
         assert health["requests"] == len(requests)
         assert health["span_seconds"] > 0
         assert health["throughput_pages_per_s"] > 0

@@ -325,6 +325,12 @@ class TestHotSwap:
         with pytest.raises(RouteError):
             service.rollback("nope")
 
+    def test_unregister_unknown_route_raises_route_error(self):
+        from repro.core.errors import RouteError
+
+        with QAService() as service, pytest.raises(RouteError):
+            service.unregister("nope")
+
     def test_epoch_bumps_on_swap_and_rollback(self, fitted):
         tool, _ = fitted["fac_t1"]
         service = QAService()

@@ -672,7 +672,7 @@ def test_bench_serve_warm_batch(benchmark):
         return service.ask_many(requests)
 
     # More rounds than the neighbouring 3-round benches: this median is
-    # a CI merge gate (check_regression GUARDED), and a 3-sample median
+    # a CI merge gate (benchtool.GUARDED), and a 3-sample median
     # of a ~1ms operation is one scheduler hiccup away from a false
     # failure on a shared runner.
     try:

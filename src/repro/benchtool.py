@@ -1,15 +1,11 @@
 """Shared benchmark-artifact tooling.
 
-One home for the machinery three entry points share:
-
-* ``python -m repro.cli bench`` — measure (or load) a fresh artifact,
-  print a per-benchmark delta table against a baseline, and exit
-  non-zero when a guarded benchmark regressed (what the CI
-  ``bench-regression`` job runs, and the local one-liner for checking a
-  perf change before pushing); ``--output BENCH_synthesis_micro.json``
-  rewrites the committed artifact;
-* ``benchmarks/check_regression.py`` — the CI regression gate over the
-  :data:`GUARDED` medians.
+One home for the machinery behind ``python -m repro.cli bench``:
+measure (or load, ``--fresh``) a fresh artifact, print a per-benchmark
+delta table against a baseline, and exit non-zero when a guarded
+benchmark regressed (what the CI ``bench-regression`` job runs, and the
+local one-liner for checking a perf change before pushing);
+``--output BENCH_synthesis_micro.json`` rewrites the committed artifact.
 """
 
 from __future__ import annotations

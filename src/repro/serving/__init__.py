@@ -31,8 +31,11 @@ registered tools are stateless, loadable
   ``BENCH_serving.json`` SLO gate.
 * :mod:`repro.serving.faults` — the deterministic fault-injection
   harness and adversarial-HTML generator driving the chaos suite.
-* :mod:`repro.serving.smoke` — the two-process CI smoke (export in one
-  run, load + serve in a fresh process).
+* :mod:`repro.serving.smoke` — the two-process CI smoke: ``export``
+  (fit, artifacts, pages, store + index, recorded answers), ``serve`` in
+  a fresh process (parse path, store path, routing; zero parse and
+  synthesis calls) and ``update`` (store and index agree after a live
+  page update).
 """
 
 from .faults import (

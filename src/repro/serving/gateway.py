@@ -74,7 +74,13 @@ from ..core.errors import DeadlineExceeded, RejectedError
 from ..retrieval.router import DEFAULT_TOP_K, CorpusAnswer
 from ..runtime.batchq import CoalescingQueue, QueueClosed
 from .ingest import page_fingerprint
-from .service import QAService, ServingRequest, ServingResult, _RouteControl
+from .service import (
+    QAService,
+    ServingRequest,
+    ServingResult,
+    _answers,
+    _RouteControl,
+)
 
 
 @dataclass
@@ -147,14 +153,6 @@ class _FanoutCache:
     def put(self, fingerprint: str, page, degraded: bool = False) -> None:
         home = self._gateway.shard_of_fingerprint(fingerprint)
         self._gateway._shards[home].cache.put(fingerprint, page, degraded)
-
-
-def _answers(results: "list[ServingResult]") -> "list[tuple[str, ...]]":
-    """``strict=True`` results: the lowest-index error raises, else answers."""
-    for result in results:
-        if result.error is not None:
-            raise result.error
-    return [result.answer for result in results]
 
 
 class _Pending:

@@ -33,8 +33,8 @@ sequential ``tool.predict`` on the same page — the load benchmark *is*
 a differential test; a divergence fails the run, not just the gate.
 
 The regression gate (:func:`check_serving`, wired into ``repro bench
-serve-load --compare`` and ``benchmarks/check_regression.py``)
-normalizes by an in-run machine-speed proxy — the single-pool QPS
+serve-load --compare``, which also gates a pre-measured ``--fresh``
+artifact) normalizes by an in-run machine-speed proxy — the single-pool QPS
 ratio between fresh and baseline runs — so a slower CI runner shifts
 both sides and cancels, exactly in the spirit of
 :func:`repro.benchtool.speed_scale`.

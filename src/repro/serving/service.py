@@ -34,13 +34,16 @@ the batching exists for throughput, never for approximation.
 
 Fault tolerance (PR 6) — the failure model, end to end:
 
-* **Per-request isolation.**  ``ask_many(strict=False)`` returns one
-  :class:`ServingResult` per request — answer *or* structured
+* **Per-request isolation.**  Every request is served in its own
+  slot: ``ask_many(strict=False)`` returns one :class:`ServingResult`
+  per request — answer *or* structured
   :class:`~repro.core.errors.ServingError` — so one poisoned page
   cannot fail the 31 good requests sharing its micro-batch.  The
-  default ``strict=True`` keeps the original fail-fast contract: the
-  first error raises through, and the no-fault answers stay
-  bit-identical to the pre-resilience service.
+  default ``strict=True`` is the same isolated call, then a projection
+  (:func:`_answers`, shared with the gateway): the lowest-index
+  error raises, else the plain answers come back.  Strict failures are
+  therefore counted by the circuit breakers and :class:`ServiceStats`
+  exactly like isolated ones.
 * **Deadlines.**  A per-call (or service-default) ``deadline_seconds``
   bounds the *whole* request path; work that misses it fails with
   :class:`~repro.core.errors.DeadlineExceeded` rather than wedging the
@@ -181,6 +184,18 @@ class ServingResult:
             "ingest_seconds": self.ingest_seconds,
             "predict_seconds": self.predict_seconds,
         }
+
+
+def _answers(results: "list[ServingResult]") -> "list[tuple[str, ...]]":
+    """The ``strict=True`` projection of isolated results, for every front end.
+
+    The lowest-index error raises, else the plain answers come back —
+    deterministic whatever order the stages (or the shards) failed in.
+    """
+    for result in results:
+        if result.error is not None:
+            raise result.error
+    return [result.answer for result in results]
 
 
 @dataclass(frozen=True)
@@ -704,8 +719,8 @@ class _RouteControl:
         return self._state(route).current.tool
 
     def breaker(self, route: str) -> CircuitBreaker:
-        """The circuit breaker guarding ``route`` (KeyError if unknown)."""
-        return self.control.routes[route].breaker
+        """The circuit breaker guarding ``route`` (:class:`RouteError` if unknown)."""
+        return self._state(route).breaker
 
     def rollback(self, route: str) -> str:
         """Restore ``route``'s previously served version; returns its id.
@@ -1130,12 +1145,12 @@ class QAService(_RouteControl):
         bounded retry for transient failures.  Answers are scattered
         back to request order.
 
-        With the default ``strict=True`` the first failure raises
-        through (the original contract) and the return value is a plain
-        ``list[tuple[str, ...]]`` of answers.  With ``strict=False``
-        every request is isolated: the return value is one
-        :class:`ServingResult` per request, failures contained in their
-        own slots.
+        Every request is isolated, failures contained in their own
+        slots.  With ``strict=False`` the return value is one
+        :class:`ServingResult` per request; with the default
+        ``strict=True`` the lowest-index failure raises (see
+        :func:`_answers`), else the return value is a plain
+        ``list[tuple[str, ...]]`` of answers.
 
         ``deadline_seconds`` (default: the service-wide setting) bounds
         the whole call; late work fails with
@@ -1148,17 +1163,11 @@ class QAService(_RouteControl):
         if deadline_seconds is None:
             deadline_seconds = self.deadline_seconds
         deadline = _Deadline(deadline_seconds)
-        results = self._serve(normalized, strict=strict, deadline=deadline)
-        if strict:
-            # _serve raised on any error, so every answer is present.
-            return [result.answer for result in results]
-        return results
+        results = self._serve(normalized, deadline)
+        return _answers(results) if strict else results
 
     def _serve(
-        self,
-        normalized: "list[ServingRequest]",
-        strict: bool,
-        deadline: _Deadline,
+        self, normalized: "list[ServingRequest]", deadline: _Deadline
     ) -> "list[ServingResult]":
         results = [ServingResult(route=request.route) for request in normalized]
         # Tool versions pinned by this call (one per served route): the
@@ -1175,8 +1184,6 @@ class QAService(_RouteControl):
                     reason="overload",
                     route=normalized[position].route,
                 )
-            if strict and admitted < len(normalized):
-                raise results[admitted].error
 
             # Stage 2: ingest (cache-aware, retried, timed).  On the
             # thread backend cold parse+index work fans over the same
@@ -1201,13 +1208,10 @@ class QAService(_RouteControl):
             for position, outcome in zip(live, outcomes):
                 result = results[position]
                 if isinstance(outcome, BaseException):
-                    error = self._wrap_error(
+                    result.error = self._wrap_error(
                         outcome, IngestError, normalized[position].route,
                         result.fingerprint, result.retries, deadline,
                     )
-                    result.error = error
-                    if strict:
-                        raise error
                     continue
                 ingested, attempts, seconds = outcome
                 pages[position] = ingested.page
@@ -1226,25 +1230,19 @@ class QAService(_RouteControl):
                 route = normalized[position].route
                 state = self.control.routes.get(route)
                 if state is None:
-                    error = RouteError(
+                    results[position].error = RouteError(
                         f"unknown route {route!r}; registered: {self.routes()}",
                         route=route,
                         fingerprint=results[position].fingerprint,
                     )
-                    results[position].error = error
-                    if strict:
-                        raise error
                     continue
                 if not state.breaker.allow():
-                    error = RejectedError(
+                    results[position].error = RejectedError(
                         f"circuit open for route {route!r}",
                         reason="circuit-open",
                         route=route,
                         fingerprint=results[position].fingerprint,
                     )
-                    results[position].error = error
-                    if strict:
-                        raise error
                     continue
                 if route not in pinned:
                     pinned[route] = (state, state.pin())
@@ -1260,11 +1258,7 @@ class QAService(_RouteControl):
                 for offset in range(0, len(positions), self.max_batch):
                     batch = positions[offset : offset + self.max_batch]
                     batch_start = time.perf_counter()
-                    self._predict_batch(
-                        tool, route, batch, pages, results, deadline, strict
-                    )
-                    # Counted only after the dispatch, so a raising batch
-                    # cannot permanently skew the batches/requests ratio.
+                    self._predict_batch(tool, route, batch, pages, results, deadline)
                     self.stats.record_batch(len(batch))
                     per_request = (time.perf_counter() - batch_start) / len(batch)
                     for position in batch:
@@ -1358,7 +1352,6 @@ class QAService(_RouteControl):
         pages: "dict[int, WebPage]",
         results: "list[ServingResult]",
         deadline: _Deadline,
-        strict: bool,
     ) -> None:
         """Run one micro-batch with per-item isolation and bounded retry."""
         allow_exit = self.backend == "process"
@@ -1394,14 +1387,11 @@ class QAService(_RouteControl):
                         attempts[position] += 1
                         retry.append(position)
                         continue
-                    error = self._wrap_error(
+                    result.error = self._wrap_error(
                         out, PredictError, route, result.fingerprint,
                         attempts[position], deadline,
                     )
-                    result.error = error
                     result.retries += attempts[position]
-                    if strict:
-                        raise error
                 else:
                     answer, degraded = out
                     result.answer = answer

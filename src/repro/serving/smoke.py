@@ -1,30 +1,42 @@
-"""Two-process artifact/serving smoke check (the CI `artifact-serving` job).
+"""Two-process serving smoke: fit and export in one interpreter, serve in a fresh one.
 
-Phase 1 (``export``) fits one small task per domain, exports each
-program artifact, renders the task's test pages back to HTML files and
-records the fitted tools' expected answers.  Phase 2 (``serve``) runs in
-a **fresh process**: it loads the artifacts, registers them on a
-:class:`~repro.serving.QAService`, serves the HTML through the full
-ingest → route → batch → predict pipeline, and fails unless
+WebQA's claim is that a program synthesized from a few labeled pages
+answers *other* pages; this smoke proves the serving stack keeps that
+claim across a process boundary.  Three phases, each taking only
+``--dir``:
 
-* every answer is bit-identical to the fitted tool's recorded answer,
-* zero synthesis searches ran in the serving process
-  (:func:`~repro.synthesis.session.synthesis_call_count`).
+* ``export`` fits one small task per domain (:data:`SMOKE_TASKS`),
+  exports each program artifact, renders the task's test pages to HTML
+  files and records the fitted tool's answer on each; builds a columnar
+  store over exactly those ``(html, url)`` pairs plus its routing index;
+  and records each task's routed
+  :class:`~repro.retrieval.router.CorpusAnswer`.  Everything goes into
+  one ``manifest.json``.
+* ``serve`` runs in a **fresh process** and fails unless
 
-The corpus variant (the CI `corpus-serving` job) proves the disk-backed
-store end to end: ``corpus-export`` additionally parses the exported
-HTML once into a columnar store file, and ``corpus-serve`` serves from
-it in a fresh interpreter asserting **zero** ``parse_html`` calls
-(:func:`~repro.html.parser.parse_call_count`) on top of the identical-
-answers and zero-synthesis bars — pages must rehydrate from planes, not
-re-parse.
+  (a) *parse path* — a store-less :class:`~repro.serving.QAService`
+      serves the HTML twice: answers equal the recorded ones, the warm
+      pass equals the cold pass, and page-cache hits cover every request;
+  (b) *store path* — a store-backed service serves the same HTML twice
+      with the same answer bars, and store hits cover every request;
+  (c) *routing* — per task, routed ≡ exhaustive ≡ export on
+      :data:`ROUTING_KEYS`, and routing found an answering page;
+      (b) and (c) together make **zero** ``parse_html`` calls
+      (:func:`~repro.html.parser.parse_call_count`);
+  (d) the whole phase makes **zero** synthesis calls
+      (:func:`~repro.synthesis.session.synthesis_call_count`).
+* ``update`` runs after ``repro corpus update`` rewrote a page: store
+  and index must open at the same manifest generation, past the index
+  build's; every live page's postings must equal a fresh
+  :func:`~repro.retrieval.index.page_postings` pass over its current
+  store text; and routed ≡ exhaustive must hold on the updated corpus.
 
 Usage::
 
     python -m repro.serving.smoke export --dir smoke-out
     python -m repro.serving.smoke serve  --dir smoke-out   # fresh process
-    python -m repro.serving.smoke corpus-export --dir smoke-out
-    python -m repro.serving.smoke corpus-serve  --dir smoke-out
+    python -m repro.cli corpus update smoke-out/corpus.rpw --page NEW.html URL
+    python -m repro.serving.smoke update --dir smoke-out
 """
 
 from __future__ import annotations
@@ -39,10 +51,18 @@ from ..dataset.corpus import load_task_dataset
 from ..dataset.tasks import TASKS_BY_ID
 from ..html.parser import parse_call_count
 from ..persist import read_artifact, write_artifact
-from .ingest import ingest_html
-from .service import QAService, ServingRequest
+from ..retrieval.index import (
+    build_corpus_index,
+    open_corpus_index,
+    page_postings,
+    page_text,
+)
 from ..synthesis.session import synthesis_call_count
 from ..webtree.html_out import page_to_html
+from ..webtree.store import open_store
+from .corpus import build_corpus_store
+from .ingest import ingest_html
+from .service import QAService, ServingRequest
 
 #: One quick task per domain: enough to exercise routing across
 #: heterogeneous programs while staying CI-cheap.
@@ -50,219 +70,12 @@ SMOKE_TASKS = ("fac_t1", "conf_t1", "class_t2", "clinic_t5")
 
 MANIFEST = "manifest.json"
 
-#: Columnar store file written by ``corpus-export`` next to the manifest.
+#: Columnar store file (and, beside it, its routing index).
 CORPUS_FILE = "corpus.rpw"
 
-
-def run_export(out_dir: Path, n_pages: int, n_train: int) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"tasks": []}
-    for task_id in SMOKE_TASKS:
-        task = TASKS_BY_ID[task_id]
-        dataset = load_task_dataset(task, n_pages=n_pages, n_train=n_train, seed=0)
-        tool = WebQA(ensemble_size=50).fit(
-            task.question,
-            task.keywords,
-            list(dataset.train),
-            list(dataset.test_pages),
-            dataset.models,
-        )
-        artifact_path = out_dir / f"{task_id}.artifact.json"
-        tool.export_artifact(
-            str(artifact_path),
-            task_meta={"task_id": task.task_id, "domain": task.domain},
-        )
-        entry = {"task_id": task_id, "artifact": artifact_path.name, "pages": []}
-        for position, page in enumerate(dataset.test_pages):
-            html_path = out_dir / f"{task_id}.page{position}.html"
-            html_path.write_text(page_to_html(page), encoding="utf-8")
-            # Expected answers come from re-ingesting the rendered HTML
-            # through the *fitted* tool, so the serve phase compares the
-            # loaded artifact against the synthesizing tool on byte-
-            # identical inputs (rendering is canonical but the re-parsed
-            # tree is only isomorphic to the generator's original).
-            reparsed = ingest_html(
-                html_path.read_text(encoding="utf-8"), url=page.url
-            )
-            entry["pages"].append(
-                {
-                    "html": html_path.name,
-                    "url": page.url,
-                    "expected": list(tool.predict(reparsed)),
-                }
-            )
-        manifest["tasks"].append(entry)
-        print(f"exported {task_id}: {len(entry['pages'])} pages")
-    write_artifact(str(out_dir / MANIFEST), manifest)
-    print(f"export complete: {out_dir / MANIFEST}")
-    return 0
-
-
-def run_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
-    calls_before = synthesis_call_count()
-    manifest = read_artifact(str(out_dir / MANIFEST))
-    requests: list[ServingRequest] = []
-    expected: list[tuple[str, ...]] = []
-    with QAService(jobs=jobs, max_batch=max_batch) as service:
-        for entry in manifest["tasks"]:
-            service.register(entry["task_id"], str(out_dir / entry["artifact"]))
-            for page_entry in entry["pages"]:
-                html = (out_dir / page_entry["html"]).read_text(encoding="utf-8")
-                requests.append(
-                    ServingRequest(
-                        route=entry["task_id"], html=html, url=page_entry["url"]
-                    )
-                )
-                expected.append(tuple(page_entry["expected"]))
-        # Serve twice: the second pass must hit the page cache.
-        answers = service.ask_many(requests)
-        answers_again = service.ask_many(requests)
-
-    failures = 0
-    for request, got, want in zip(requests, answers, expected):
-        if tuple(got) != want:
-            failures += 1
-            print(
-                f"MISMATCH route={request.route} url={request.url}: "
-                f"got {got!r}, expected {want!r}",
-                file=sys.stderr,
-            )
-    if answers_again != answers:
-        failures += 1
-        print("MISMATCH: warm-cache pass differs from cold pass", file=sys.stderr)
-    if service.cache.stats.cache_hits < len(requests):
-        failures += 1
-        print(
-            f"PAGE CACHE INEFFECTIVE: {service.cache.stats.cache_hits} hits "
-            f"over {2 * len(requests)} requests",
-            file=sys.stderr,
-        )
-    synthesis_calls = synthesis_call_count() - calls_before
-    if synthesis_calls != 0:
-        failures += 1
-        print(
-            f"SYNTHESIS IN SERVING PATH: {synthesis_calls} synthesize() calls "
-            f"during load+serve (must be 0)",
-            file=sys.stderr,
-        )
-    print(json.dumps(service.stats.as_dict(), indent=2))
-    print(json.dumps({"page_cache": service.cache.stats.as_dict()}, indent=2))
-    if failures:
-        print(f"serving smoke FAILED: {failures} problem(s)", file=sys.stderr)
-        return 1
-    print(
-        f"serving smoke OK: {len(requests)} requests x2 passes, "
-        f"{len(manifest['tasks'])} routes, 0 synthesis calls"
-    )
-    return 0
-
-
-def run_corpus_export(out_dir: Path, n_pages: int, n_train: int) -> int:
-    """``export`` plus a columnar store over the exported pages.
-
-    The store is keyed by ``page_fingerprint(html, url)`` over the exact
-    ``(html, url)`` pairs the serve phase will request, so every serve-
-    phase ingest must resolve from planes on disk.
-    """
-    status = run_export(out_dir, n_pages, n_train)
-    if status:
-        return status
-    from .corpus import build_corpus_store
-
-    manifest = read_artifact(str(out_dir / MANIFEST))
-    documents = []
-    for entry in manifest["tasks"]:
-        for page_entry in entry["pages"]:
-            html = (out_dir / page_entry["html"]).read_text(encoding="utf-8")
-            documents.append((html, page_entry["url"]))
-    report = build_corpus_store(documents, str(out_dir / CORPUS_FILE))
-    print(json.dumps({"corpus_store": report}, indent=2))
-    return 0
-
-
-def run_corpus_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
-    """``serve`` from the columnar store: zero parses allowed.
-
-    Runs in a fresh interpreter after ``corpus-export``: every page must
-    rehydrate from the store (``store_hits`` covers every request,
-    ``parse_call_count()`` delta stays 0) and answers must match the
-    fitted tools bit-for-bit — proving store-backed serving ≡ the parse
-    path without ever invoking the parser.
-    """
-    parses_before = parse_call_count()
-    calls_before = synthesis_call_count()
-    manifest = read_artifact(str(out_dir / MANIFEST))
-    requests: list[ServingRequest] = []
-    expected: list[tuple[str, ...]] = []
-    store_path = out_dir / CORPUS_FILE
-    with QAService(
-        jobs=jobs, max_batch=max_batch, store=str(store_path)
-    ) as service:
-        for entry in manifest["tasks"]:
-            service.register(entry["task_id"], str(out_dir / entry["artifact"]))
-            for page_entry in entry["pages"]:
-                html = (out_dir / page_entry["html"]).read_text(encoding="utf-8")
-                requests.append(
-                    ServingRequest(
-                        route=entry["task_id"], html=html, url=page_entry["url"]
-                    )
-                )
-                expected.append(tuple(page_entry["expected"]))
-        answers = service.ask_many(requests)
-        answers_again = service.ask_many(requests)
-
-    failures = 0
-    for request, got, want in zip(requests, answers, expected):
-        if tuple(got) != want:
-            failures += 1
-            print(
-                f"MISMATCH route={request.route} url={request.url}: "
-                f"got {got!r}, expected {want!r}",
-                file=sys.stderr,
-            )
-    if answers_again != answers:
-        failures += 1
-        print("MISMATCH: warm-cache pass differs from cold pass", file=sys.stderr)
-    store_hits = service.cache.stats.store_hits
-    if store_hits < len(requests):
-        failures += 1
-        print(
-            f"STORE INEFFECTIVE: {store_hits} store hits over "
-            f"{len(requests)} cold requests (every miss must resolve "
-            f"from the store)",
-            file=sys.stderr,
-        )
-    parse_calls = parse_call_count() - parses_before
-    if parse_calls != 0:
-        failures += 1
-        print(
-            f"PARSE IN STORE-BACKED SERVING: {parse_calls} parse_html "
-            f"calls during load+serve (must be 0)",
-            file=sys.stderr,
-        )
-    synthesis_calls = synthesis_call_count() - calls_before
-    if synthesis_calls != 0:
-        failures += 1
-        print(
-            f"SYNTHESIS IN SERVING PATH: {synthesis_calls} synthesize() "
-            f"calls during load+serve (must be 0)",
-            file=sys.stderr,
-        )
-    print(json.dumps(service.stats.as_dict(), indent=2))
-    print(json.dumps({"page_cache": service.cache.stats.as_dict()}, indent=2))
-    if failures:
-        print(f"corpus smoke FAILED: {failures} problem(s)", file=sys.stderr)
-        return 1
-    print(
-        f"corpus smoke OK: {len(requests)} requests x2 passes, "
-        f"{store_hits} store hits, 0 parse calls, 0 synthesis calls"
-    )
-    return 0
-
-
-#: Routed-answer expectations written by ``routing-export`` next to the
-#: manifest, keyed by task id.
-ROUTING_FILE = "routing.json"
+#: Dataset scale per task, the routing cut, and the serving pool shape.
+N_PAGES, N_TRAIN, TOP_K = 8, 3, 8
+JOBS, MAX_BATCH = 2, 8
 
 #: CorpusAnswer fields compared across processes and against the
 #: exhaustive scan ("routed" itself necessarily differs between paths).
@@ -272,249 +85,213 @@ ROUTING_KEYS = (
 )
 
 
-def run_routing_export(
-    out_dir: Path, n_pages: int, n_train: int, top_k: int
-) -> int:
-    """``corpus-export`` plus the inverted routing index + expectations.
+class Checks:
+    """Collects failed bars, reporting each on stderr as it fails."""
 
-    Builds the store and its index, then records each task's
-    routed :class:`~repro.retrieval.router.CorpusAnswer` so the fresh-
-    process ``routing-serve`` phase can demand bit-identical answers and
-    provenance.
-    """
-    status = run_corpus_export(out_dir, n_pages, n_train)
-    if status:
-        return status
-    from ..retrieval.index import build_corpus_index
+    def __init__(self) -> None:
+        self.failures = 0
 
-    store_path = out_dir / CORPUS_FILE
-    report = build_corpus_index(str(store_path))
-    print(json.dumps({"corpus_index": report}, indent=2))
-    manifest = read_artifact(str(out_dir / MANIFEST))
-    routing: dict = {"top_k": top_k, "tasks": {}}
-    with QAService(jobs=1, store=str(store_path)) as service:
-        for entry in manifest["tasks"]:
-            service.register(entry["task_id"], str(out_dir / entry["artifact"]))
-            answer = service.ask_corpus(entry["task_id"], top_k=top_k)
-            routing["tasks"][entry["task_id"]] = answer.as_dict()
-            print(
-                f"routed {entry['task_id']}: {answer.url} "
-                f"support={answer.support}/{len(answer.candidates)}"
+    def expect(self, condition: bool, message: str) -> None:
+        if not condition:
+            self.failures += 1
+            print(message, file=sys.stderr)
+
+    def report(self, phase: str, summary: str) -> int:
+        if self.failures:
+            print(f"{phase} smoke FAILED: {self.failures} problem(s)", file=sys.stderr)
+            return 1
+        print(f"{phase} smoke OK: {summary}")
+        return 0
+
+
+def run_export(out_dir: Path) -> int:
+    """Fit, export artifacts and pages, build store + index, record answers."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest: dict = {"tasks": []}
+    documents: list[tuple[str, str]] = []
+    for task_id in SMOKE_TASKS:
+        task = TASKS_BY_ID[task_id]
+        dataset = load_task_dataset(task, n_pages=N_PAGES, n_train=N_TRAIN, seed=0)
+        tool = WebQA(ensemble_size=50).fit(
+            task.question,
+            task.keywords,
+            list(dataset.train),
+            list(dataset.test_pages),
+            dataset.models,
+        )
+        artifact = f"{task_id}.artifact.json"
+        tool.export_artifact(
+            str(out_dir / artifact),
+            task_meta={"task_id": task.task_id, "domain": task.domain},
+        )
+        entry = {"task_id": task_id, "artifact": artifact, "pages": []}
+        for position, page in enumerate(dataset.test_pages):
+            html_path = out_dir / f"{task_id}.page{position}.html"
+            html_path.write_text(page_to_html(page), encoding="utf-8")
+            # Expected answers come from re-ingesting the rendered HTML
+            # through the *fitted* tool, so the serve phase compares the
+            # loaded artifact against the synthesizing tool on byte-
+            # identical inputs (rendering is canonical but the re-parsed
+            # tree is only isomorphic to the generator's original).
+            html = html_path.read_text(encoding="utf-8")
+            expected = tool.predict(ingest_html(html, url=page.url))
+            entry["pages"].append(
+                {"html": html_path.name, "url": page.url, "expected": list(expected)}
             )
-    write_artifact(str(out_dir / ROUTING_FILE), routing)
+            documents.append((html, page.url))
+        manifest["tasks"].append(entry)
+        print(f"exported {task_id}: {len(entry['pages'])} pages")
+    # The store holds exactly the (html, url) pairs ``serve`` requests,
+    # so every store-path ingest must resolve from planes on disk.
+    store_path = str(out_dir / CORPUS_FILE)
+    report = {"corpus_store": build_corpus_store(documents, store_path)}
+    report["corpus_index"] = build_corpus_index(store_path)
+    print(json.dumps(report, indent=2))
+    with QAService(jobs=1, store=store_path) as service:
+        for entry in _register(service, manifest, out_dir):
+            answer = service.ask_corpus(entry["task_id"], top_k=TOP_K)
+            entry["routed"] = answer.as_dict()
+            print(f"routed {entry['task_id']}: {answer.url} "
+                  f"support={answer.support}/{len(answer.candidates)}")
+    write_artifact(str(out_dir / MANIFEST), manifest)
+    print(f"export complete: {out_dir / MANIFEST}")
     return 0
 
 
-def run_routing_serve(out_dir: Path, jobs: int, max_batch: int) -> int:
-    """Route and answer from the index in a fresh process.
+def _register(service: QAService, manifest: dict, out_dir: Path) -> list[dict]:
+    """Register every exported artifact; returns the manifest's task entries."""
+    for entry in manifest["tasks"]:
+        service.register(entry["task_id"], str(out_dir / entry["artifact"]))
+    return manifest["tasks"]
 
-    Three bars on top of the recorded expectations: zero ``parse_html``
-    calls (candidates rehydrate from store planes), zero synthesis
-    calls (artifacts only), and routed ≡ exhaustive — the top-k answer,
-    provenance and candidate ranking must be bit-identical to a full
-    scan of every store page, re-proving the equivalence contract in
-    the serving process itself.
-    """
+
+def _route(service: QAService, task_id: str):
+    """``(routed answer, its fields, the exhaustive scan's fields)``."""
+    routed = service.ask_corpus(task_id, top_k=TOP_K)
+    exhaustive = service.ask_corpus(task_id, top_k=TOP_K, exhaustive=True)
+    return routed, routed.as_dict(), exhaustive.as_dict()
+
+
+def _serve_twice(
+    checks: Checks, label: str, service: QAService, requests, expected
+) -> None:
+    """Serve ``requests`` cold, then warm; both must give ``expected``."""
+    answers = service.ask_many(requests)
+    checks.expect(service.ask_many(requests) == answers,
+                  f"{label}: warm-cache pass differs from cold pass")
+    for request, got, want in zip(requests, answers, expected):
+        checks.expect(tuple(got) == want,
+                      f"{label} MISMATCH route={request.route} url={request.url}: "
+                      f"got {got!r}, expected {want!r}")
+    print(json.dumps({label: service.stats.as_dict(),
+                      "page_cache": service.cache.stats.as_dict()}, indent=2))
+
+
+def run_serve(out_dir: Path) -> int:
+    """Fresh process: parse path, store path, routing; 0 parses, 0 synthesis."""
+    synthesis_before = synthesis_call_count()
+    checks = Checks()
+    manifest = read_artifact(str(out_dir / MANIFEST))
+    requests: list[ServingRequest] = []
+    expected: list[tuple[str, ...]] = []
+    for entry in manifest["tasks"]:
+        for page in entry["pages"]:
+            html = (out_dir / page["html"]).read_text(encoding="utf-8")
+            route, url = entry["task_id"], page["url"]
+            requests.append(ServingRequest(route=route, html=html, url=url))
+            expected.append(tuple(page["expected"]))
+
+    # (a) The parse path: the warm pass must hit the page cache.
+    with QAService(jobs=JOBS, max_batch=MAX_BATCH) as service:
+        _register(service, manifest, out_dir)
+        _serve_twice(checks, "parse path", service, requests, expected)
+    hits = service.cache.stats.cache_hits
+    checks.expect(hits >= len(requests),
+                  f"PAGE CACHE INEFFECTIVE: {hits} hits over "
+                  f"{2 * len(requests)} requests")
+
+    # (b) The store path and (c) routing: pages rehydrate from planes.
     parses_before = parse_call_count()
-    calls_before = synthesis_call_count()
-    manifest = read_artifact(str(out_dir / MANIFEST))
-    routing = read_artifact(str(out_dir / ROUTING_FILE))
-    top_k = int(routing["top_k"])
-    failures = 0
-    with QAService(
-        jobs=jobs, max_batch=max_batch, store=str(out_dir / CORPUS_FILE)
-    ) as service:
+    store_path = str(out_dir / CORPUS_FILE)
+    with QAService(jobs=JOBS, max_batch=MAX_BATCH, store=store_path) as service:
+        _register(service, manifest, out_dir)
+        _serve_twice(checks, "store path", service, requests, expected)
+        store_hits = service.cache.stats.store_hits
+        checks.expect(store_hits >= len(requests),
+                      f"STORE INEFFECTIVE: {store_hits} store hits over "
+                      f"{len(requests)} cold requests (every miss must "
+                      f"resolve from the store)")
         for entry in manifest["tasks"]:
-            task_id = entry["task_id"]
-            service.register(task_id, str(out_dir / entry["artifact"]))
-            routed = service.ask_corpus(task_id, top_k=top_k)
-            exhaustive = service.ask_corpus(
-                task_id, top_k=top_k, exhaustive=True
-            )
-            got, reference = routed.as_dict(), exhaustive.as_dict()
-            expected = routing["tasks"][task_id]
+            task_id, recorded = entry["task_id"], entry["routed"]
+            routed, got, reference = _route(service, task_id)
             for key in ROUTING_KEYS:
-                if got[key] != reference[key]:
-                    failures += 1
-                    print(
-                        f"ROUTED != EXHAUSTIVE for {task_id}.{key}: "
-                        f"{got[key]!r} vs {reference[key]!r}",
-                        file=sys.stderr,
-                    )
-                if got[key] != expected[key]:
-                    failures += 1
-                    print(
-                        f"MISMATCH vs export for {task_id}.{key}: "
-                        f"got {got[key]!r}, expected {expected[key]!r}",
-                        file=sys.stderr,
-                    )
-            if not routed.ok:
-                failures += 1
-                print(f"NO ANSWER routed for {task_id}", file=sys.stderr)
-    parse_calls = parse_call_count() - parses_before
-    if parse_calls != 0:
-        failures += 1
-        print(
-            f"PARSE IN ROUTED SERVING: {parse_calls} parse_html calls "
-            f"(must be 0: candidates come from store planes)",
-            file=sys.stderr,
-        )
-    synthesis_calls = synthesis_call_count() - calls_before
-    if synthesis_calls != 0:
-        failures += 1
-        print(
-            f"SYNTHESIS IN ROUTED SERVING: {synthesis_calls} synthesize() "
-            f"calls (must be 0)",
-            file=sys.stderr,
-        )
-    if failures:
-        print(f"routing smoke FAILED: {failures} problem(s)", file=sys.stderr)
-        return 1
-    print(
-        f"routing smoke OK: {len(manifest['tasks'])} routes answered from "
-        f"the index at top_k={top_k}, routed == exhaustive == export, "
-        f"0 parse calls, 0 synthesis calls"
+                checks.expect(got[key] == reference[key],
+                              f"ROUTED != EXHAUSTIVE for {task_id}.{key}: "
+                              f"{got[key]!r} vs {reference[key]!r}")
+                checks.expect(got[key] == recorded[key],
+                              f"MISMATCH vs export for {task_id}.{key}: "
+                              f"got {got[key]!r}, expected {recorded[key]!r}")
+            checks.expect(routed.ok, f"NO ANSWER routed for {task_id}")
+    parses = parse_call_count() - parses_before
+    checks.expect(parses == 0, f"PARSE IN STORE-BACKED SERVING: {parses} parse_html "
+                               f"calls (must be 0: pages come from store planes)")
+
+    # (d) Artifacts only: nothing in this process may synthesize.
+    synthesized = synthesis_call_count() - synthesis_before
+    checks.expect(synthesized == 0, f"SYNTHESIS IN SERVING PATH: {synthesized} "
+                                    f"synthesize() calls (must be 0)")
+    return checks.report(
+        "serving",
+        f"{len(requests)} requests x2 passes on the parse and store paths, "
+        f"{len(manifest['tasks'])} routes routed == exhaustive == export at "
+        f"top_k={TOP_K}, 0 parse calls from the store, 0 synthesis calls",
     )
-    return 0
 
 
-def run_routing_update(out_dir: Path) -> int:
-    """Verify the index tracks a live store update (`repro corpus update`).
-
-    Run after mutating the store: store and index must open at the same
-    manifest generation, the update must have published one after the
-    index build's generation 1, and — the strong form of "postings reflect the new
-    generation" — every live page's postings must equal a fresh
-    :func:`~repro.retrieval.index.page_postings` pass over its current
-    store text.  Finishes with a routed-vs-exhaustive pass over the
-    updated corpus.
-    """
-    from ..retrieval.index import open_corpus_index, page_postings, page_text
-    from ..webtree.store import open_store
-
-    store_path = out_dir / CORPUS_FILE
-    store = open_store(str(store_path))
-    reader = open_corpus_index(str(store_path))
-    failures = 0
-    if reader.generation != store.generation or reader.generation < 2:
-        failures += 1
-        print(
-            f"GENERATION MISMATCH: store at {store.generation}, index at "
-            f"{reader.generation} (both must match, >= 2)",
-            file=sys.stderr,
-        )
-    store_fps = sorted(store.fingerprints())
-    if sorted(reader.fingerprints()) != store_fps:
-        failures += 1
-        print("PAGE SET DIVERGED between store and index", file=sys.stderr)
+def run_update(out_dir: Path) -> int:
+    """After `repro corpus update`: store and index agree, routing holds."""
+    checks = Checks()
+    store_path = str(out_dir / CORPUS_FILE)
+    store = open_store(store_path)
+    reader = open_corpus_index(store_path)
+    checks.expect(reader.generation == store.generation and reader.generation >= 2,
+                  f"GENERATION MISMATCH: store at {store.generation}, index at "
+                  f"{reader.generation} (both must match, >= 2)")
+    fingerprints = sorted(store.fingerprints())
+    checks.expect(sorted(reader.fingerprints()) == fingerprints,
+                  "PAGE SET DIVERGED between store and index")
     idf = reader.idf()
-    stale_pages = 0
-    for fingerprint in store_fps:
-        page, _ = store.load(fingerprint)
-        if reader.postings_for(fingerprint) != page_postings(page_text(page), idf):
-            stale_pages += 1
-    if stale_pages:
-        failures += 1
-        print(
-            f"STALE POSTINGS: {stale_pages}/{len(store_fps)} pages' index "
-            f"postings differ from their current store text",
-            file=sys.stderr,
-        )
-    manifest = read_artifact(str(out_dir / MANIFEST))
-    routing = read_artifact(str(out_dir / ROUTING_FILE))
-    top_k = int(routing["top_k"])
-    with QAService(jobs=1, store=str(store_path)) as service:
-        for entry in manifest["tasks"]:
-            task_id = entry["task_id"]
-            service.register(task_id, str(out_dir / entry["artifact"]))
-            routed = service.ask_corpus(task_id, top_k=top_k)
-            exhaustive = service.ask_corpus(
-                task_id, top_k=top_k, exhaustive=True
-            )
-            got, reference = routed.as_dict(), exhaustive.as_dict()
-            diverged = [
-                key for key in ROUTING_KEYS if got[key] != reference[key]
-            ]
-            if diverged:
-                failures += 1
-                print(
-                    f"ROUTED != EXHAUSTIVE after update for {task_id}: "
-                    f"{', '.join(diverged)}",
-                    file=sys.stderr,
-                )
-    if failures:
-        print(
-            f"routing update smoke FAILED: {failures} problem(s)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"routing update smoke OK: store and index at generation "
-        f"{reader.generation}; "
-        f"{len(store_fps)} pages' postings current; routed == exhaustive"
+    stale = sum(
+        reader.postings_for(fp) != page_postings(page_text(store.load(fp)[0]), idf)
+        for fp in fingerprints
     )
-    return 0
+    checks.expect(stale == 0, f"STALE POSTINGS: {stale}/{len(fingerprints)} pages' "
+                              f"index postings differ from their current store text")
+    with QAService(jobs=1, store=store_path) as service:
+        manifest = read_artifact(str(out_dir / MANIFEST))
+        for entry in _register(service, manifest, out_dir):
+            _, got, reference = _route(service, entry["task_id"])
+            diverged = [key for key in ROUTING_KEYS if got[key] != reference[key]]
+            checks.expect(not diverged, f"ROUTED != EXHAUSTIVE after update for "
+                                        f"{entry['task_id']}: {', '.join(diverged)}")
+    return checks.report(
+        "routing update",
+        f"store and index at generation {reader.generation}; "
+        f"{len(fingerprints)} pages' postings current; routed == exhaustive",
+    )
+
+
+PHASES = {"export": run_export, "serve": run_serve, "update": run_update}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="phase", required=True)
-    export = sub.add_parser("export", help="fit tasks and write artifacts+pages")
-    export.add_argument("--dir", type=Path, required=True)
-    export.add_argument("--pages", type=int, default=8)
-    export.add_argument("--train", type=int, default=3)
-    serve = sub.add_parser("serve", help="load artifacts and serve in-process")
-    serve.add_argument("--dir", type=Path, required=True)
-    serve.add_argument("--jobs", type=int, default=2)
-    serve.add_argument("--max-batch", type=int, default=8)
-    corpus_export = sub.add_parser(
-        "corpus-export", help="export plus build a columnar corpus store"
-    )
-    corpus_export.add_argument("--dir", type=Path, required=True)
-    corpus_export.add_argument("--pages", type=int, default=8)
-    corpus_export.add_argument("--train", type=int, default=3)
-    corpus_serve = sub.add_parser(
-        "corpus-serve", help="serve from the store: 0 parse calls allowed"
-    )
-    corpus_serve.add_argument("--dir", type=Path, required=True)
-    corpus_serve.add_argument("--jobs", type=int, default=2)
-    corpus_serve.add_argument("--max-batch", type=int, default=8)
-    routing_export = sub.add_parser(
-        "routing-export",
-        help="corpus-export plus the routing index and expected answers",
-    )
-    routing_export.add_argument("--dir", type=Path, required=True)
-    routing_export.add_argument("--pages", type=int, default=8)
-    routing_export.add_argument("--train", type=int, default=3)
-    routing_export.add_argument("--top-k", type=int, default=8)
-    routing_serve = sub.add_parser(
-        "routing-serve",
-        help="route+answer from the index in a fresh process: 0 parse, "
-        "0 synthesis, routed == exhaustive == export",
-    )
-    routing_serve.add_argument("--dir", type=Path, required=True)
-    routing_serve.add_argument("--jobs", type=int, default=2)
-    routing_serve.add_argument("--max-batch", type=int, default=8)
-    routing_update = sub.add_parser(
-        "routing-update",
-        help="after `repro corpus update`: assert store and index open at "
-        "the same generation with current postings",
-    )
-    routing_update.add_argument("--dir", type=Path, required=True)
+    for name, run in PHASES.items():
+        phase = sub.add_parser(name, help=run.__doc__.splitlines()[0])
+        phase.add_argument("--dir", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.phase == "export":
-        return run_export(args.dir, args.pages, args.train)
-    if args.phase == "corpus-export":
-        return run_corpus_export(args.dir, args.pages, args.train)
-    if args.phase == "corpus-serve":
-        return run_corpus_serve(args.dir, args.jobs, args.max_batch)
-    if args.phase == "routing-export":
-        return run_routing_export(args.dir, args.pages, args.train, args.top_k)
-    if args.phase == "routing-serve":
-        return run_routing_serve(args.dir, args.jobs, args.max_batch)
-    if args.phase == "routing-update":
-        return run_routing_update(args.dir)
-    return run_serve(args.dir, args.jobs, args.max_batch)
+    return PHASES[args.phase](args.dir)
 
 
 if __name__ == "__main__":

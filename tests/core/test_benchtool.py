@@ -160,26 +160,6 @@ class TestCompare:
         assert "*FAIL" in text
         assert "guarded" in text
 
-    def test_check_regression_script_delegates(self):
-        import importlib.util
-        from pathlib import Path
-
-        script = (
-            Path(__file__).resolve().parents[2]
-            / "benchmarks"
-            / "check_regression.py"
-        )
-        spec = importlib.util.spec_from_file_location("check_regression", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert module.GUARDED == benchtool.GUARDED
-        failures = module.check(
-            artifact({GUARDED_NAME: 0.020}),
-            artifact({GUARDED_NAME: 0.010}),
-            1.25,
-        )
-        assert [name for name, *_ in failures] == [GUARDED_NAME]
-
 
 class TestRepoRoot:
     def test_find_repo_root_from_nested_dir(self, tmp_path):

@@ -30,6 +30,7 @@ from repro.serving.faults import (
     adversarial_corpus,
     adversarial_html,
 )
+from repro.serving.gateway import ServingGateway
 from repro.serving.ingest import ServingLimits
 from repro.serving.service import NO_RETRY, CircuitBreaker, QAService, RetryPolicy, ServingRequest
 from repro.webtree.html_out import page_to_html
@@ -135,6 +136,45 @@ class TestPerRequestIsolation:
         with _service(fitted, fault_injector=FaultPlan(predict_faults={0: ALWAYS})) as service:
             with pytest.raises(PredictError):
                 service.ask_many(_page_requests(dataset), strict=True)
+
+    def test_strict_failures_feed_breaker_and_stats(self, fitted):
+        _, dataset = fitted
+        request = _page_requests(dataset)[:1]
+        with _service(
+            fitted,
+            retry_policy=NO_RETRY,
+            circuit_threshold=2,
+            fault_injector=FaultPlan(predict_faults={0: ALWAYS}),
+        ) as service:
+            for _ in range(2):
+                with pytest.raises(PredictError):
+                    service.ask_many(request)
+            assert service.breaker("fac_t1").state == "open"
+            with pytest.raises(RejectedError) as info:
+                service.ask_many(request)
+            assert info.value.reason == "circuit-open"
+            assert service.stats.requests == 3
+            assert service.stats.failures_by_stage == {"predict": 2, "admission": 1}
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_service_and_gateway_raise_same_lowest_index_error(self, fitted, shards):
+        tool, dataset = fitted
+        # Request 0 fails in predict, request 2 earlier in the pipeline
+        # (ingest): strict raises request 0's error on every front end.
+        requests = _html_requests(dataset)[:3]
+        plan = FaultPlan(predict_faults={0: ALWAYS}, ingest_faults={2: ALWAYS})
+        with _service(fitted, retry_policy=NO_RETRY, fault_injector=plan) as service:
+            with pytest.raises(ServingError) as from_service:
+                service.ask_many(requests)
+        with ServingGateway(
+            shards=shards, retry_policy=NO_RETRY, fault_injector=plan
+        ) as gateway:
+            gateway.register("fac_t1", tool)
+            with pytest.raises(ServingError) as from_gateway:
+                gateway.ask_many(requests)
+        assert isinstance(from_service.value, PredictError)
+        assert type(from_gateway.value) is PredictError
+        assert str(from_gateway.value) == str(from_service.value)
 
     def test_unknown_route_still_a_keyerror(self, fitted):
         _, dataset = fitted

@@ -324,6 +324,8 @@ class TestHotSwap:
         assert service.ask("fac_t1", page=dataset.test_pages[0]) == want
         with pytest.raises(RouteError):
             service.rollback("nope")
+        with pytest.raises(RouteError):
+            service.breaker("nope")
 
     def test_unregister_unknown_route_raises_route_error(self):
         from repro.core.errors import RouteError

@@ -857,3 +857,62 @@ def test_bench_route_exhaustive(benchmark):
     )
     assert answer.ok and not answer.routed
     assert len(answer.candidates) == 16
+
+
+# -- routed layers: consensus vote and index scoring --------------------------
+#
+# Two layers of a routed `ask_corpus` besides store loads and predict:
+# the consensus vote over the top-16 candidates' answers and the sparse
+# dot-product over the index.  Each row checks its result against the
+# exhaustive path's.
+
+_ROUTING_POOL = None
+
+
+def _routing_pool():
+    """(candidates, answers, exhaustive answer) of the rig's top-16 call."""
+    global _ROUTING_POOL
+    if _ROUTING_POOL is None:
+        service, route = _routing_rig()
+        captured = []
+
+        def fan_out(requests):
+            results = service.ask_many(
+                [request for _, request in requests], strict=False
+            )
+            captured.extend(r.answer if r.ok else None for r in results)
+            return results
+
+        routed = service.answer_corpus(route, None, 16, False, fan_out)
+        _ROUTING_POOL = (
+            list(routed.candidates),
+            captured,
+            service.ask_corpus(route, top_k=16, exhaustive=True),
+        )
+    return _ROUTING_POOL
+
+
+def test_bench_route_consensus(benchmark):
+    """Consensus vote over the 16 routed candidates' predicted answers."""
+    from repro.retrieval.router import select_answer
+
+    candidates, answers, exhaustive = _routing_pool()
+    assert len(answers) == 16
+    winner, loss, support = benchmark(select_answer, candidates, answers)
+    assert candidates[winner][0] == exhaustive.fingerprint
+    assert answers[winner] == exhaustive.answer
+    assert (loss, support) == (exhaustive.consensus_loss, exhaustive.support)
+
+
+def test_bench_index_score(benchmark):
+    """`CorpusIndexReader.score` for the rig's question over 2048 pages."""
+    from repro.dataset.tasks import TASKS_BY_ID
+    from repro.retrieval.router import query_terms, scan_scores
+
+    service, route = _routing_rig()
+    task = TASKS_BY_ID[route]
+    query = query_terms(task.question, task.keywords)
+    store = service.store.pinned()
+    reader = service.corpus_index().ensure_fresh(store)
+    scored = benchmark(reader.score, query)
+    assert scored == scan_scores(store, reader.idf(), query)

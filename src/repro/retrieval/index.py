@@ -12,7 +12,8 @@ terms — work proportional to the match set, not the corpus.
 **File format** (framing: :class:`~repro.webtree.generations.FileFormat`)::
 
     header   <8sII        magic=b"RPWIDX01", version, reserved
-    body     page_ids     <u4   one entry per posting, grouped by term
+    body     page_ids     <u4   one entry per posting, grouped by term;
+                                a term names each page at most once
              weights      <f4   aligned with page_ids
              offsets      <u8   n_terms+1 prefix offsets into the arrays
     manifest JSON         pages (fingerprints, posting order), terms
@@ -354,7 +355,9 @@ class CorpusIndexReader(GenerationalReader):
         score, sorted by ``(-score, fingerprint)`` — a total order, so
         any top-k cut is deterministic.  Accumulation is float64 over
         float32 postings in sorted-term order (see the module
-        docstring's bit-exactness contract with the scan path).
+        docstring's bit-exactness contract with the scan path).  A
+        term's postings name each page at most once, so one fancy-index
+        ``+=`` per term is exactly one addition per (term, page).
         """
         terms = sorted(query)
         view = self._view
@@ -368,17 +371,17 @@ class CorpusIndexReader(GenerationalReader):
                 page_ids, weights = index_file.postings(term)
                 if not len(page_ids):
                     continue
-                np.add.at(
-                    scores,
-                    page_ids,
-                    np.float64(query[term]) * weights.astype(np.float64),
+                scores[page_ids] += (
+                    np.float64(query[term]) * weights.astype(np.float64)
                 )
                 touched[page_ids] = True
             hits = np.nonzero(touched & live & (scores > 0.0))[0]
             pages = index_file.pages
             results.extend(
-                (pages[int(page_id)], float(scores[int(page_id)]))
-                for page_id in hits
+                zip(
+                    [pages[page_id] for page_id in hits.tolist()],
+                    scores[hits].tolist(),
+                )
             )
         results.sort(key=lambda item: (-item[1], item[0]))
         return results

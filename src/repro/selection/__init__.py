@@ -1,7 +1,7 @@
 """Program selection via transductive learning (paper Section 6)."""
 
 from .baselines import select_random, select_shortest
-from .loss import hamming_word_distance, output_loss
+from .loss import hamming_word_distance, output_loss, weighted_output_losses
 from .transductive import (
     DEFAULT_ENSEMBLE_SIZE,
     SelectionOutcome,
@@ -14,6 +14,7 @@ __all__ = [
     "select_shortest",
     "hamming_word_distance",
     "output_loss",
+    "weighted_output_losses",
     "DEFAULT_ENSEMBLE_SIZE",
     "SelectionOutcome",
     "run_on_pages",

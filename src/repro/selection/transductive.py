@@ -23,7 +23,7 @@ from ..nlp.models import NlpModels
 from ..synthesis.examples import TaskContexts
 from ..synthesis.top import SynthesisResult
 from ..webtree.node import WebPage
-from .loss import output_loss
+from .loss import weighted_output_losses
 
 #: Default ensemble size N (paper Section 7: 1000).
 DEFAULT_ENSEMBLE_SIZE = 1000
@@ -83,18 +83,22 @@ def consensus_select(
     a total order independent of input permutation, which the corpus
     router (:mod:`repro.retrieval.router`) relies on for routed ≡
     exhaustive bit-identity.
+
+    Cost: one tokenization per distinct answer plus D(D−1)/2 word-set
+    differences for D distinct answers (:func:`weighted_output_losses`).
     """
     if not outputs:
         raise ValueError("consensus_select needs at least one output")
     multiplicity: dict[tuple[str, ...], int] = {}
     for answer in outputs:
         multiplicity[answer] = multiplicity.get(answer, 0) + 1
-    losses: dict[tuple[str, ...], float] = {}
-    for answer in multiplicity:
-        total = 0.0
-        for other, count in multiplicity.items():
-            total += count * output_loss((answer,), (other,))
-        losses[answer] = total / len(outputs)
+    totals = weighted_output_losses(
+        [(answer,) for answer in multiplicity], list(multiplicity.values())
+    )
+    losses = {
+        answer: total / len(outputs)
+        for answer, total in zip(multiplicity, totals)
+    }
     best = min(
         multiplicity,
         key=lambda answer: (losses[answer], -multiplicity[answer], answer),
@@ -115,7 +119,9 @@ def select_program(
     Note the N² pairwise loss of Eq. 11 collapses to comparing *distinct*
     outputs weighted by multiplicity: many sampled programs are
     observationally identical on the unlabeled pages, and grouping them
-    makes selection fast without changing the argmin.
+    makes selection fast without changing the argmin.  For D distinct
+    outputs over P pages the loss table costs D·P tokenizations plus
+    D(D−1)/2·P word-set differences (:func:`weighted_output_losses`).
     """
     if not result.spaces:
         raise ValueError("synthesis produced no optimal programs to select from")
@@ -133,13 +139,12 @@ def select_program(
         )
         by_output.setdefault(outputs, []).append(program)
 
-    distinct = list(by_output.items())
+    totals = weighted_output_losses(
+        list(by_output), [len(programs) for programs in by_output.values()]
+    )
     best_program: ast.Program | None = None
     best_loss = float("inf")
-    for outputs, programs in distinct:
-        total = 0.0
-        for other_outputs, other_programs in distinct:
-            total += len(other_programs) * output_loss(outputs, other_outputs)
+    for programs, total in zip(by_output.values(), totals):
         mean_loss = total / len(ensemble)
         if mean_loss < best_loss:
             best_loss = mean_loss
@@ -149,5 +154,5 @@ def select_program(
         program=best_program,
         loss=best_loss,
         ensemble_size=len(ensemble),
-        distinct_outputs=len(distinct),
+        distinct_outputs=len(by_output),
     )

@@ -16,9 +16,11 @@ publish lives in ``tests/webtree/test_store.py``).
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.errors import IngestError
+from repro.dataset import generate_page
 from repro.nlp.vocab import IdfModel
 from repro.retrieval.index import (
     CorpusIndexReader,
@@ -118,6 +120,23 @@ class TestBuildAndRead:
             assert reader.score(query) == scanned
             for top_k in (0, 1, 2, None):
                 assert reader.route(query, top_k) == cut_top_k(scanned, top_k)
+
+    def test_postings_name_each_page_once_per_term(self, tmp_path):
+        # CorpusIndexReader.score adds a term's weights with one
+        # fancy-index ``+=``, exact only when no page id repeats within
+        # a posting list — in the full build and in update segments.
+        docs = DOCS + [
+            (generate_page(domain, 3).html, f"https://t/{domain}")
+            for domain in ("faculty", "clinic")
+        ]
+        path = _build(tmp_path, docs)
+        update_corpus_store(path, [(CHANGED_HTML, DOCS[0][1])])
+        reader = open_corpus_index(path)
+        assert reader.stat()["segments"] == 1
+        for index_file in reader._view.files:
+            for term in index_file.terms:
+                page_ids, _ = index_file.postings(term)
+                assert len(np.unique(page_ids)) == len(page_ids), term
 
     def test_unknown_terms_score_nothing(self, tmp_path):
         path = _build(tmp_path)
